@@ -7,8 +7,8 @@
 //! faulty runs to divergence dominate, with no multi-instant replay.
 //!
 //! Oracle, per campaign: the same spec run locally and unsharded
-//! (`Campaign::try_run`) must give a byte-identical result to the merged
-//! fleet result.
+//! (`Campaign::try_run_prepared` on the set-up's golden run) must give a
+//! byte-identical result to the merged fleet result.
 
 use crate::layers;
 use crate::report::Outcome;
@@ -80,11 +80,17 @@ impl Fleet {
 
 impl Drop for Fleet {
     fn drop(&mut self) {
-        for runner in self.runners.drain(..) {
-            if catch_unwind(AssertUnwindSafe(|| runner.stop())).is_err() {
-                eprintln!("[perfbench] a fleet runner thread panicked");
+        // A runner's stop waits out its heartbeat sleep (up to ~2.5 s);
+        // stop them side by side.
+        std::thread::scope(|scope| {
+            for runner in self.runners.drain(..) {
+                scope.spawn(|| {
+                    if catch_unwind(AssertUnwindSafe(|| runner.stop())).is_err() {
+                        eprintln!("[perfbench] a fleet runner thread panicked");
+                    }
+                });
             }
-        }
+        });
         if let Some(coordinator) = self.coordinator.take() {
             if let Err(e) = coordinator.shutdown() {
                 eprintln!("[perfbench] coordinator shutdown: {e}");
