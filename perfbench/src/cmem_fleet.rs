@@ -14,7 +14,7 @@ use crate::layers;
 use crate::report::Outcome;
 use crate::stats::Summary;
 use crate::trace::Tracer;
-use crate::{derive, repeated_setup, Run};
+use crate::{derive, Rounds, Run, SetupTimes};
 use fault_inject::{merge_shards, PreparedWorkload, ShardResult, Target};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -145,14 +145,10 @@ fn fleet_campaign(
 /// golden run from set-up.
 fn local(spec: &CampaignSpec, golden: &PreparedWorkload) -> Result<ShardResult, String> {
     let campaign = spec.to_campaign();
-    Ok(ShardResult {
-        fingerprint: campaign.fingerprint(),
-        index: 0,
-        count: 1,
-        result: campaign
-            .try_run_prepared(crate::nproc(), golden)
-            .map_err(|e| e.to_string())?,
-    })
+    let result = campaign
+        .try_run_prepared(crate::nproc(), golden)
+        .map_err(|e| e.to_string())?;
+    Ok(layers::unsharded(&campaign, result))
 }
 
 pub fn check_merged(merged: &ShardResult, reference: &ShardResult) -> Result<(), String> {
@@ -166,29 +162,41 @@ pub fn check_merged(merged: &ShardResult, reference: &ShardResult) -> Result<(),
     }
 }
 
+/// Start a fleet and capture the golden runs the oracle's local runs
+/// share. Only the fleet is returned: earlier set-ups' fleets shut down
+/// while the next one is timed, and their golden runs need not live that
+/// long.
+fn setup(
+    run: &Run,
+    tracer: &mut Tracer,
+    rep: &mut usize,
+    golden: &mut Vec<PreparedWorkload>,
+) -> Fleet {
+    *rep += 1;
+    let fleet = tracer.span("server", "fleet_start", |_| {
+        Fleet::start(&run.scratch_dir(&format!("fleet{rep}")))
+    });
+    // A warm-up campaign through the fleet would make set-up time depend
+    // on when the idle runners next poll for a lease.
+    *golden = BENCHMARKS
+        .iter()
+        .map(|&b| {
+            let campaign = CampaignSpec::new(b, Target::CacheMemory).to_campaign();
+            tracer.span("fault", "golden", |_| {
+                campaign.prepare().expect("golden run")
+            })
+        })
+        .collect();
+    fleet
+}
+
 pub fn run(run: &Run) -> Outcome {
     let mut outcome = Outcome::default();
     let mut tracer = Tracer::new(run.trace, run.epoch);
+    let mut setups = SetupTimes::default();
     let mut rep = 0;
-    let (fleet, golden) = repeated_setup(&mut outcome, || {
-        rep += 1;
-        let fleet = tracer.span("server", "fleet_start", |_| {
-            Fleet::start(&run.scratch_dir(&format!("fleet{rep}")))
-        });
-        // The golden runs the oracle's local runs share. A warm-up
-        // campaign through the fleet would make set-up time depend on
-        // when the idle runners next poll for a lease.
-        let golden: Vec<PreparedWorkload> = BENCHMARKS
-            .iter()
-            .map(|&b| {
-                let campaign = CampaignSpec::new(b, Target::CacheMemory).to_campaign();
-                tracer.span("fault", "golden", |_| {
-                    campaign.prepare().expect("golden run")
-                })
-            })
-            .collect();
-        (fleet, golden)
-    });
+    let mut golden = Vec::new();
+    let fleet = setups.repeat(|| setup(run, &mut tracer, &mut rep, &mut golden));
     outcome.fact("runners", RUNNERS);
     outcome.fact("runner_threads", 1);
     outcome.fact("shards", SHARDS);
@@ -198,9 +206,9 @@ pub fn run(run: &Run) -> Outcome {
     let mut first: Option<(CampaignSpec, ShardResult, f64)> = None;
     let window = run.window().as_secs_f64();
     let (mut k, mut busy_s) = (0, 0.0);
-    // Whole rounds over the six benchmarks, so every run has the same
-    // mix of campaign sizes however many rounds fit.
-    while busy_s < window || k % 6 != 0 {
+    // Rounds over the six benchmarks: the same mix of campaign sizes.
+    let mut rounds = Rounds::new(6, run);
+    while rounds.go_on(k, busy_s) {
         let tracing = run.trace && busy_s >= window / 2.0;
         tracer.set_enabled(tracing);
         let spec = spec(run.seed, k);
@@ -232,6 +240,8 @@ pub fn run(run: &Run) -> Outcome {
             first = Some((spec, merged, ms));
         }
     }
+    setups.repeat(|| setup(run, &mut tracer, &mut rep, &mut Vec::new()));
+    setups.put(&mut outcome);
     let busy_s = latencies.iter().sum::<f64>() / 1e3;
     outcome.put("throughput_per_s", Summary::exact(jobs as f64 / busy_s));
     outcome.put("latency_p50_ms", Summary::of(&latencies));

@@ -11,13 +11,13 @@ use crate::layers::{self, Digest};
 use crate::report::Outcome;
 use crate::stats::Summary;
 use crate::trace::Tracer;
-use crate::{derive, repeated_setup, Run};
+use crate::{derive, Run, SetupTimes};
 use analysis::{CorrelationPoint, FittedModel, SplitMix64};
-use fault_inject::{Campaign, CorrelationSpec, Target};
+use fault_inject::{Campaign, Target};
 use leon3_model::{Leon3, Leon3Config};
 use rtl_sim::FaultKind;
 use sparc_asm::Program;
-use sparc_iss::{Iss, IssConfig, RunOutcome};
+use sparc_iss::RunOutcome;
 use std::hint::black_box;
 use std::time::Instant;
 use workloads::random::{random_program, RandomSpec};
@@ -33,11 +33,8 @@ const HOLDOUT: [Benchmark; 4] = [
     Benchmark::Basefp,
     Benchmark::Bitmnp,
 ];
-/// Sampled stuck-at-1 IU sites per held-out benchmark and per cell of
-/// the fitted sweep (the exhaustive sweep takes ~20 s on two cores, too
-/// long to repeat as set-up).
+/// Sampled stuck-at-1 IU sites per held-out benchmark.
 const SITES: usize = 48;
-const BUDGET: u64 = 200_000_000;
 
 pub struct Input {
     label: String,
@@ -90,19 +87,16 @@ fn suite_and_random(seed: u64) -> Vec<Input> {
 }
 
 fn iss_diversity(program: &Program) -> usize {
-    let mut iss = Iss::new(IssConfig::default());
-    iss.load(program);
-    iss.run(BUDGET);
-    iss.stats().diversity()
+    layers::iss_run(program).0.stats().diversity()
 }
 
 fn setup(run: &Run, tracer: &mut Tracer) -> Setup {
     let threads = crate::nproc();
     let inputs = tracer.span("workloads", "program", |_| suite_and_random(run.seed));
     let report = tracer.span("fault", "correlation_sweep", |_| {
-        let mut spec = CorrelationSpec::new();
-        spec.sample = Some((SITES, derive(run.seed, 99)));
-        spec.run_report(threads).expect("the paper's sweep fits")
+        layers::fig7_sweep(run.seed)
+            .run_report(threads)
+            .expect("the paper's sweep fits")
     });
     let domain = report
         .domain(Target::IntegerUnit, FaultKind::StuckAt1)
@@ -151,13 +145,7 @@ fn setup(run: &Run, tracer: &mut Tracer) -> Setup {
 /// The measured operation.
 pub fn predict(program: &Program, model: &FittedModel, tracer: &mut Tracer) -> Observed {
     tracer.span("bench", "predict", |t| {
-        let iss = t.span("iss", "run", |_| {
-            let mut iss = Iss::new(IssConfig::default());
-            iss.load(program);
-            let outcome = iss.run(BUDGET);
-            (iss, outcome)
-        });
-        let (iss, outcome) = iss;
+        let (iss, outcome) = t.span("iss", "run", |_| layers::iss_run(program));
         let histogram = t.span("iss", "histogram", |_| iss.stats().named_histogram());
         let diversity = histogram.len();
         let pf = t.span("analysis", "predict", |_| model.predict(diversity as f64));
@@ -183,7 +171,7 @@ fn halted(outcome: RunOutcome) -> Option<u32> {
 fn oracle(program: &Program, model: &FittedModel) -> Observed {
     let mut cpu = Leon3::new(Leon3Config::default());
     cpu.load(program);
-    let outcome = cpu.run(BUDGET);
+    let outcome = cpu.run(layers::ISS_BUDGET);
     let histogram = cpu.stats().named_histogram();
     Observed {
         instructions: cpu.stats().instructions,
@@ -212,7 +200,8 @@ pub fn check(label: &str, expected: &Observed, observed: &Observed) -> Result<()
 pub fn run(run: &Run) -> Outcome {
     let mut outcome = Outcome::default();
     let mut tracer = Tracer::new(run.trace, run.epoch);
-    let setup = repeated_setup(&mut outcome, || setup(run, &mut tracer));
+    let mut setups = SetupTimes::default();
+    let setup = setups.repeat(|| setup(run, &mut tracer));
     outcome.fact("threads", 1);
     outcome.fact("inputs", setup.inputs.len());
 
@@ -253,6 +242,8 @@ pub fn run(run: &Run) -> Outcome {
         }
     }
     tracer.set_enabled(run.trace);
+    setups.repeat(|| self::setup(run, &mut tracer));
+    setups.put(&mut outcome);
     let busy_s: f64 = latencies.iter().sum::<f64>() / 1e3;
     outcome.put(
         "throughput_per_s",
@@ -316,6 +307,7 @@ pub fn run(run: &Run) -> Outcome {
         let words = layers::image_words(setup.inputs.iter().map(|i| &i.program));
         outcome.exact("sparc.decode_ns", layers::decode_ns(&mut tracer, &words));
         layers::put_overhead(&mut outcome, &untraced_ms, &traced_ms);
+        crate::iu_transient::traced_sweep(&mut outcome, &mut tracer, run);
     }
     outcome.exact("analysis.pf_holdout_err", setup.holdout_err);
     outcome.fact("pass_instructions", pass_instructions);

@@ -5,19 +5,54 @@
 use crate::report::Outcome;
 use crate::stats::{quantile, Summary};
 use crate::trace::Tracer;
-use crate::Run;
+use crate::{derive, Run};
 use fault_inject::journal::{self, Journal};
-use fault_inject::{CampaignStats, ShardResult};
+use fault_inject::{Campaign, CampaignResult, CampaignStats, CorrelationSpec, ShardResult};
 use leon3_model::{Leon3, Leon3Config};
 use rtl_sim::NetId;
 use sparc_asm::Program;
-use sparc_iss::{BusEvent, StepEvent};
+use sparc_iss::{BusEvent, Iss, IssConfig, RunOutcome, StepEvent};
 use std::hint::black_box;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
 /// How long each timed loop runs: long enough to average out the clock.
 const LOOP: Duration = Duration::from_millis(40);
+
+/// Instruction budget of every ISS run (no program comes near it).
+pub const ISS_BUDGET: u64 = 200_000_000;
+
+/// Sampled sites per cell of the Fig. 7 sweep the workloads fit (the
+/// exhaustive sweep takes ~20 s on two cores, too long to repeat as
+/// set-up).
+pub const SWEEP_SITES: usize = 48;
+
+/// The paper's Fig. 7 sweep (`CorrelationSpec::new()`), sampled with a
+/// seeded site draw.
+pub fn fig7_sweep(seed: u64) -> CorrelationSpec {
+    let mut spec = CorrelationSpec::new();
+    spec.sample = Some((SWEEP_SITES, derive(seed, 99)));
+    spec
+}
+
+/// One program run to the end on a fresh ISS.
+pub fn iss_run(program: &Program) -> (Iss, RunOutcome) {
+    let mut iss = Iss::new(IssConfig::default());
+    iss.load(program);
+    let outcome = iss.run(ISS_BUDGET);
+    (iss, outcome)
+}
+
+/// A campaign's result as the single shard of an unsharded run, the form
+/// a service or fleet returns it in.
+pub fn unsharded(campaign: &Campaign, result: CampaignResult) -> ShardResult {
+    ShardResult {
+        fingerprint: campaign.fingerprint(),
+        index: 0,
+        count: 1,
+        result,
+    }
+}
 
 /// FNV-1a digests of outputs the oracles compare.
 pub struct Digest(u64);
@@ -270,9 +305,9 @@ pub fn put_overhead(outcome: &mut Outcome, untraced_ms: &[f64], traced_ms: &[f64
     outcome.exact("trace.overhead_share", share);
 }
 
-/// Tracing overhead where traced and untraced operations differ (one
-/// campaign each): the measured cost of one span times the spans
-/// recorded, over the traced operations' time.
+/// Tracing overhead where the traced and untraced halves run different
+/// campaigns (cmem-permanent-fleet): the measured cost of one span times
+/// the spans recorded, over the traced operations' time.
 pub fn put_span_overhead(outcome: &mut Outcome, tracer: &Tracer, traced_ms: f64) {
     let mut probe = Tracer::new(true, Instant::now());
     let start = Instant::now();

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! cargo run --release --manifest-path perfbench/Cargo.toml -- \
-//!     --workload iss-predict --seed 2015 --seconds 10 --trace 0
+//!     --workload iss-predict --seed 2015 --seconds 15 --trace 0
 //! ```
 //!
 //! Every run checks each operation's output against an oracle computed in
@@ -26,18 +26,21 @@ use std::time::{Duration, Instant};
 use trace::Tracer;
 
 /// The workloads, in `BENCHMARK.json` order.
-pub const WORKLOADS: [&str; 4] = [
-    "iss-predict",
-    "iu-transient-dense",
-    "cmem-permanent-fleet",
-    "service-mix",
-];
+pub const WORKLOADS: [&str; 3] = ["iss-predict", "cmem-permanent-fleet", "service-mix"];
 
 /// Everything a run writes goes under the benchmark's own `out/`.
 const OUT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/out");
 
-/// How many times a run performs its set-up; `setup_s` is the median.
-pub const SETUP_REPEATS: usize = 5;
+/// A run repeats its set-up for this long in all, half before the
+/// measurement window and half after it.
+pub const SETUP_BUDGET: Duration = Duration::from_secs(4);
+/// One `setup_s` sample is the mean time of back-to-back set-ups lasting
+/// at least this long. Host speed switches between two levels ~1.6x apart
+/// in spells of under a second, so the median of single 60 ms set-ups
+/// lands on whichever level held the majority of the run.
+pub const SETUP_SAMPLE: Duration = Duration::from_millis(500);
+/// Samples taken at least, before and after the window each.
+pub const SETUP_MIN_SAMPLES: usize = 2;
 
 /// One run's parameters.
 #[derive(Debug, Clone)]
@@ -68,6 +71,37 @@ impl Run {
     }
 }
 
+/// Whole rounds of a campaign workload's distinct campaigns, so every
+/// run averages the same mix however many rounds fit. A run ends on the
+/// round boundary nearest the end of its window: ending on the first one
+/// past it ran two ~7 s rounds of a 15 s window in some runs and three in
+/// others.
+pub struct Rounds {
+    len: u64,
+    window_s: f64,
+    round_start_s: f64,
+}
+
+impl Rounds {
+    pub fn new(len: u64, run: &Run) -> Rounds {
+        Rounds {
+            len,
+            window_s: run.window().as_secs_f64(),
+            round_start_s: 0.0,
+        }
+    }
+
+    /// Whether to run campaign `k`, given the campaign time spent so far.
+    pub fn go_on(&mut self, k: u64, busy_s: f64) -> bool {
+        if !k.is_multiple_of(self.len) {
+            return true;
+        }
+        let last_round_s = busy_s - self.round_start_s;
+        self.round_start_s = busy_s;
+        k == 0 || busy_s + last_round_s / 2.0 < self.window_s
+    }
+}
+
 /// Host threads available to the process.
 pub fn nproc() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
@@ -81,21 +115,61 @@ pub fn derive(seed: u64, stream: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Run a set-up `SETUP_REPEATS` times, dropping all but the last, and
-/// record the median as `setup_s`. Oracles are computed after, untimed.
-pub fn repeated_setup<S>(outcome: &mut Outcome, mut setup: impl FnMut() -> S) -> S {
-    let mut times = Vec::new();
-    let mut last = None;
-    for _ in 0..SETUP_REPEATS {
-        // The previous set-up (servers, fleets) shuts down before the
-        // next one starts.
-        drop(last.take());
+/// A run's set-up samples; `setup_s` is their median.
+#[derive(Debug, Default)]
+pub struct SetupTimes {
+    samples: Vec<f64>,
+    repeats: usize,
+    /// Threads shutting earlier set-ups down, joined on drop.
+    retiring: Vec<std::thread::JoinHandle<()>>,
+}
+
+impl SetupTimes {
+    /// Repeat a set-up for half of [`SETUP_BUDGET`], ending on a whole
+    /// sample, and return the last one. Oracles are computed after,
+    /// untimed.
+    pub fn repeat<S: Send + 'static>(&mut self, mut setup: impl FnMut() -> S) -> S {
         let start = Instant::now();
-        last = Some(setup());
-        times.push(start.elapsed().as_secs_f64());
+        let first = self.samples.len();
+        let (mut sum, mut n) = (0.0, 0u32);
+        loop {
+            let t = Instant::now();
+            let s = setup();
+            sum += t.elapsed().as_secs_f64();
+            n += 1;
+            self.repeats += 1;
+            if sum >= SETUP_SAMPLE.as_secs_f64() {
+                self.samples.push(sum / f64::from(n));
+                (sum, n) = (0.0, 0);
+                if self.samples.len() - first >= SETUP_MIN_SAMPLES
+                    && start.elapsed() >= SETUP_BUDGET / 2
+                {
+                    return s;
+                }
+            }
+            // Earlier set-ups shut down on a thread of their own: a fleet's
+            // runners wait out a heartbeat sleep (up to ~2.5 s) before they
+            // stop, mostly asleep, which would otherwise fill the run's
+            // wall time.
+            self.retiring.push(std::thread::spawn(move || drop(s)));
+        }
     }
-    outcome.put("setup_s", stats::Summary::of(&times));
-    last.expect("at least one set-up")
+
+    /// Record the median sample as `setup_s`.
+    pub fn put(&self, outcome: &mut Outcome) {
+        outcome.fact("setup_repeats", self.repeats);
+        outcome.put("setup_s", stats::Summary::of(&self.samples));
+    }
+}
+
+impl Drop for SetupTimes {
+    fn drop(&mut self) {
+        for handle in self.retiring.drain(..) {
+            if handle.join().is_err() {
+                eprintln!("[perfbench] shutting an earlier set-up down panicked");
+            }
+        }
+    }
 }
 
 fn usage() -> ! {
@@ -159,7 +233,6 @@ fn main() {
     let (workload, run) = parse_args();
     let mut outcome = match workload.as_str() {
         "iss-predict" => iss_predict::run(&run),
-        "iu-transient-dense" => iu_transient::run(&run),
         "cmem-permanent-fleet" => cmem_fleet::run(&run),
         "service-mix" => service_mix::run(&run),
         _ => unreachable!("validated in parse_args"),

@@ -15,13 +15,10 @@ use crate::layers;
 use crate::report::Outcome;
 use crate::stats::Summary;
 use crate::trace::Tracer;
-use crate::{derive, repeated_setup, Run};
+use crate::{derive, Run, SetupTimes};
 use analysis::SplitMix64;
-use fault_inject::{
-    CorrelationReport, CorrelationSpec, PredictRequest, Prediction, ShardResult, Target,
-};
+use fault_inject::{CorrelationReport, PredictRequest, Prediction, ShardResult, Target};
 use rtl_sim::FaultKind;
-use sparc_iss::{Iss, IssConfig};
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 use verifd::client;
@@ -31,8 +28,6 @@ use workloads::{Benchmark, Params, DATASETS};
 const CLIENTS: usize = 2;
 /// Pre-warmed campaign specs the cached share of the mix draws from.
 const CACHED_SPECS: u64 = 4;
-/// Sampled sites of every cell of the registered sweep.
-const SWEEP_SITES: usize = 48;
 /// Sampled sites of a cold campaign (× 3 fault models).
 const COLD_SITES: usize = 8;
 const POLL: Duration = Duration::from_millis(2);
@@ -61,12 +56,6 @@ struct Setup {
     report: CorrelationReport,
 }
 
-fn sweep(seed: u64) -> CorrelationSpec {
-    let mut spec = CorrelationSpec::new();
-    spec.sample = Some((SWEEP_SITES, derive(seed, 99)));
-    spec
-}
-
 /// Cold campaign `n` of a run. Its sites depend on `n` alone: with
 /// seeded sites, seed 2 ran 12-25% above seeds 1, 3, 4 and 5 in both
 /// five-seed comparisons, and with these sites seeds 1 and 2 alternated
@@ -84,20 +73,28 @@ fn cached_spec(seed: u64, n: u64) -> CampaignSpec {
     spec
 }
 
-/// Poll a submitted campaign until it is done (2 ms between polls).
-fn poll(addr: &str, id: u64, tracer: &mut Tracer) -> Result<ShardResult, String> {
+/// Poll a submitted job until it is done (2 ms between polls). A done
+/// campaign carries its result; a done correlation sweep carries none.
+fn poll_done(addr: &str, id: u64, tracer: &mut Tracer) -> Result<client::StatusReply, String> {
     let start = Instant::now();
     while start.elapsed() < GIVE_UP {
         let reply = tracer
             .span("server", "status", |_| client::status(addr, id))
             .map_err(|e| format!("status: {e}"))?;
         match reply.status.as_str() {
-            "done" => return reply.result.ok_or("done without a result".to_string()),
+            "done" => return Ok(reply),
             "queued" | "running" => std::thread::sleep(POLL),
-            other => return Err(format!("campaign {other}: {:?}", reply.error)),
+            other => return Err(format!("job {other}: {:?}", reply.error)),
         }
     }
-    Err(format!("campaign {id} not done after {GIVE_UP:?}"))
+    Err(format!("job {id} not done after {GIVE_UP:?}"))
+}
+
+/// Poll a submitted campaign until it is done and return its result.
+fn poll(addr: &str, id: u64, tracer: &mut Tracer) -> Result<ShardResult, String> {
+    poll_done(addr, id, tracer)?
+        .result
+        .ok_or("done without a result".to_string())
 }
 
 fn setup(run: &Run, tracer: &mut Tracer) -> Setup {
@@ -111,8 +108,10 @@ fn setup(run: &Run, tracer: &mut Tracer) -> Setup {
     });
     let addr = server.addr().to_string();
     let service = Service(Some(server));
-    let reply = client::correlate(&addr, &sweep(run.seed)).expect("sweep submitted");
-    let report = client::wait_report(&addr, reply.id).expect("sweep fitted");
+    let reply = client::correlate(&addr, &layers::fig7_sweep(run.seed)).expect("sweep submitted");
+    poll_done(&addr, reply.id, tracer).expect("sweep fitted");
+    // Done already, so this reads the report without waiting.
+    let report = client::wait_report(&addr, reply.id).expect("fitted report");
     let mut requests = Vec::new();
     for benchmark in Benchmark::ALL {
         for dataset in 0..DATASETS {
@@ -123,10 +122,7 @@ fn setup(run: &Run, tracer: &mut Tracer) -> Setup {
                 })
             });
             let histogram = tracer.span("iss", "run", |_| {
-                let mut iss = Iss::new(IssConfig::default());
-                iss.load(&program);
-                iss.run(200_000_000);
-                iss.stats().named_histogram()
+                layers::iss_run(&program).0.stats().named_histogram()
             });
             requests.push(PredictRequest::from_histogram(
                 histogram
@@ -307,13 +303,14 @@ fn sample_stats(addr: &str, until: Instant) -> (u64, f64) {
 pub fn run(run: &Run) -> Outcome {
     let mut outcome = Outcome::default();
     let mut tracer = Tracer::new(run.trace, run.epoch);
-    let s = repeated_setup(&mut outcome, || setup(run, &mut tracer));
+    let mut setups = SetupTimes::default();
+    let s = setups.repeat(|| setup(run, &mut tracer));
     outcome.fact("clients", CLIENTS);
     outcome.fact("server_workers", 1);
     outcome.fact("job_threads", 1);
 
     // Oracle inputs, untimed: the same sweep fitted in this process.
-    let local = sweep(run.seed)
+    let local = layers::fig7_sweep(run.seed)
         .run_report(crate::nproc())
         .expect("local sweep");
     let domain = local
@@ -357,6 +354,8 @@ pub fn run(run: &Run) -> Outcome {
         (logs, sampled)
     });
     let elapsed = start.elapsed().as_secs_f64();
+    setups.repeat(|| setup(run, &mut tracer));
+    setups.put(&mut outcome);
 
     let mut ms: BTreeMap<&str, Vec<f64>> = BTreeMap::new();
     let mut ops = 0;
@@ -455,12 +454,7 @@ fn check_local(spec: &CampaignSpec, served: &ShardResult) -> Result<(), String> 
     let local = campaign
         .try_run(crate::nproc())
         .map_err(|e| e.to_string())?;
-    let local = ShardResult {
-        fingerprint: campaign.fingerprint(),
-        index: 0,
-        count: 1,
-        result: local,
-    };
+    let local = layers::unsharded(&campaign, local);
     if local.to_json() == served.to_json() {
         Ok(())
     } else {
@@ -477,8 +471,7 @@ mod tests {
 
     #[test]
     fn oracle_rejects_a_wrong_served_pf() {
-        let report = sweep(1);
-        let mut spec = report;
+        let mut spec = layers::fig7_sweep(1);
         spec.benchmarks = vec![Benchmark::Intbench, Benchmark::Rspeed];
         spec.include_excerpts = false;
         spec.sample = Some((4, 1));
