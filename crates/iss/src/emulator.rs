@@ -2,6 +2,7 @@
 //! handling.
 
 use crate::bus::BusTrace;
+use crate::exec::DecodeMemo;
 use crate::inject::ArchFault;
 use crate::instrument::RunStats;
 use crate::memory::Memory;
@@ -103,6 +104,7 @@ pub struct Iss {
     pub(crate) arch_faults: Vec<ArchFault>,
     pub(crate) exit: Option<Exit>,
     pub(crate) timer: Timer,
+    pub(crate) memo: DecodeMemo,
     config: IssConfig,
 }
 
@@ -122,6 +124,7 @@ impl Iss {
             arch_faults: Vec::new(),
             exit: None,
             timer: Timer::new(),
+            memo: DecodeMemo::new(),
             config,
         }
     }

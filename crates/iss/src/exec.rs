@@ -11,6 +11,44 @@ use sparc_isa::{decode, Icc, Instr, OpClass, Opcode, Operand2, Psr, Reg, Tbr, Tr
 /// Cycles charged for trap entry (pipeline flush + vectoring).
 const TRAP_CYCLES: u32 = 5;
 
+/// Slots of the decode memo (a power of two).
+const MEMO_SLOTS: usize = 256;
+
+/// A direct-mapped memo of [`decode`], indexed by `(pc >> 2) & 255`.
+///
+/// A slot holds the last word that decoded successfully at a PC mapping to
+/// it. A hit requires the fetched word to equal the stored word, so the
+/// memo is a pure cache of `decode`: stores over code (self-modifying
+/// programs, loaders) need no invalidation, and an illegal word is never
+/// stored, so it traps on every fetch exactly as without the memo.
+#[derive(Debug, Clone)]
+pub(crate) struct DecodeMemo {
+    /// `None` marks an empty slot; no word value is reserved as a sentinel.
+    slots: Box<[Option<(u32, Instr)>; MEMO_SLOTS]>,
+}
+
+impl DecodeMemo {
+    pub(crate) fn new() -> DecodeMemo {
+        DecodeMemo {
+            slots: Box::new([None; MEMO_SLOTS]),
+        }
+    }
+
+    /// `decode(word)` for the word fetched at `pc`, or `None` when the word
+    /// is not a legal instruction.
+    fn decode(&mut self, pc: u32, word: u32) -> Option<Instr> {
+        let slot = &mut self.slots[(pc >> 2) as usize & (MEMO_SLOTS - 1)];
+        match *slot {
+            Some((stored, instr)) if stored == word => Some(instr),
+            _ => {
+                let instr = decode(word).ok()?;
+                *slot = Some((word, instr));
+                Some(instr)
+            }
+        }
+    }
+}
+
 /// How execution of one instruction ended.
 enum Flow {
     /// Fall through to `npc`.
@@ -55,9 +93,8 @@ impl Iss {
             Ok(word) => word,
             Err(trap) => return self.take_trap(trap),
         };
-        let instr = match decode(word) {
-            Ok(instr) => instr,
-            Err(_) => return self.take_trap(TrapType::IllegalInstruction),
+        let Some(instr) = self.memo.decode(pc, word) else {
+            return self.take_trap(TrapType::IllegalInstruction);
         };
         self.stats.record(&instr);
         self.timing.execute(&instr);
@@ -559,9 +596,9 @@ impl Iss {
 
 #[cfg(test)]
 mod tests {
-    use crate::emulator::{Iss, IssConfig, RunOutcome};
+    use crate::emulator::{Iss, IssConfig, RunOutcome, StepEvent};
     use sparc_asm::assemble;
-    use sparc_isa::Reg;
+    use sparc_isa::{Reg, TrapType};
 
     fn run_and_get(src: &str, reg: Reg) -> u32 {
         let program = assemble(src).expect("assembles");
@@ -926,6 +963,45 @@ mod tests {
             (writes[2].addr, writes[2].size, writes[2].data),
             (0x4000_1006, 1, 3)
         );
+    }
+
+    #[test]
+    fn self_modifying_code_executes_the_new_word() {
+        // The loop body's first instruction is overwritten with `patch`
+        // after it has executed once; the second pass must execute the
+        // stored word, not the decode of the old one at the same PC.
+        let src = r#"
+        _start:
+            set target, %o1
+            set patch, %o2
+            ld [%o2], %o2
+            mov 0, %o0
+            mov 0, %o3
+        target:
+            add %o0, 1, %o0
+            st %o2, [%o1]
+            add %o3, 1, %o3
+            cmp %o3, 2
+            bne target
+            nop
+            halt
+        patch:
+            add %o0, 100, %o0
+        "#;
+        assert_eq!(exit_code(src), 101);
+        // Patching in a word that does not decode (an FPop) must trap at
+        // the start of the second pass, after the 7 set-up and 6 loop-body
+        // instructions of the first.
+        assert!(sparc_isa::decode(0x81a0_0000).is_err());
+        let program = assemble(&src.replace("add %o0, 100, %o0", ".word 0x81a00000")).unwrap();
+        let mut iss = Iss::new(IssConfig::default());
+        iss.load(&program);
+        let trap = (0..1_000).find_map(|_| match iss.step() {
+            StepEvent::Trapped(trap) => Some(trap),
+            _ => None,
+        });
+        assert_eq!(trap, Some(TrapType::IllegalInstruction));
+        assert_eq!(iss.stats().instructions, 13);
     }
 
     #[test]

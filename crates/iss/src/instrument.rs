@@ -6,7 +6,7 @@
 //! refinement `D_m` ([`RunStats::unit_diversity`]).
 
 use sparc_isa::{Instr, Opcode, Unit};
-use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 /// Hit/miss counters for one cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -34,7 +34,14 @@ impl CacheStats {
 }
 
 /// Execution counters for one run.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// The per-opcode counts live in a flat array indexed by the opcode's
+/// ordinal, so recording an instruction is a few increments. Everything
+/// else the paper's method reads — the opcode histogram, per-unit access
+/// counts, diversity `D` and per-unit diversity `D_m` — is derived from
+/// that array on demand; the derivation is exact because
+/// [`Opcode::units`] is a pure function of the opcode.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunStats {
     /// Executed (non-annulled) instructions.
     pub instructions: u64,
@@ -48,10 +55,32 @@ pub struct RunStats {
     /// Executed instructions processed by the integer unit — every
     /// non-annulled instruction (the paper's "Integer Unit" row).
     pub iu_instructions: u64,
-    /// How many times each opcode was executed.
-    pub opcode_histogram: BTreeMap<Opcode, u64>,
-    /// How many instruction executions touched each functional unit.
-    pub unit_accesses: BTreeMap<Unit, u64>,
+    /// Executions per opcode, indexed by `op as usize` (the opcode's
+    /// position in [`Opcode::ALL`]).
+    opcode_counts: [u64; Opcode::ALL.len()],
+}
+
+impl Default for RunStats {
+    fn default() -> Self {
+        RunStats {
+            instructions: 0,
+            annulled: 0,
+            traps: 0,
+            memory_instructions: 0,
+            iu_instructions: 0,
+            opcode_counts: [0; Opcode::ALL.len()],
+        }
+    }
+}
+
+/// [`Opcode::ALL`] sorted by mnemonic, built once.
+fn by_mnemonic() -> &'static [Opcode] {
+    static ORDER: OnceLock<Vec<Opcode>> = OnceLock::new();
+    ORDER.get_or_init(|| {
+        let mut order = Opcode::ALL.to_vec();
+        order.sort_unstable_by_key(|op| op.mnemonic());
+        order
+    })
 }
 
 impl RunStats {
@@ -62,10 +91,31 @@ impl RunStats {
         if instr.op.accesses_memory() {
             self.memory_instructions += 1;
         }
-        *self.opcode_histogram.entry(instr.op).or_insert(0) += 1;
-        for unit in instr.op.units().iter() {
-            *self.unit_accesses.entry(unit).or_insert(0) += 1;
+        self.opcode_counts[instr.op as usize] += 1;
+    }
+
+    fn count(&self, op: Opcode) -> u64 {
+        self.opcode_counts[op as usize]
+    }
+
+    /// How many times each executed opcode was executed, in [`Opcode`]
+    /// order; opcodes never executed are absent.
+    pub fn opcode_histogram(&self) -> Vec<(Opcode, u64)> {
+        self.executed_opcodes()
+            .map(|op| (op, self.count(op)))
+            .collect()
+    }
+
+    /// How many instruction executions touched each functional unit,
+    /// indexed by [`Unit::index`].
+    pub fn unit_accesses(&self) -> [u64; Unit::ALL.len()] {
+        let mut accesses = [0; Unit::ALL.len()];
+        for op in self.executed_opcodes() {
+            for unit in op.units().iter() {
+                accesses[unit.index()] += self.count(op);
+            }
         }
+        accesses
     }
 
     /// Instruction diversity: the number of unique opcodes executed.
@@ -74,34 +124,31 @@ impl RunStats {
     /// for permanent faults, diversity (not instruction count, order or
     /// input data) determines the fault-to-failure probability.
     pub fn diversity(&self) -> usize {
-        self.opcode_histogram.len()
+        self.opcode_counts.iter().filter(|&&n| n > 0).count()
     }
 
     /// Per-unit diversity `D_m`: unique opcodes whose unit-usage set
     /// contains `unit`.
     pub fn unit_diversity(&self, unit: Unit) -> usize {
-        self.opcode_histogram
-            .keys()
+        self.executed_opcodes()
             .filter(|op| op.units().contains(unit))
             .count()
     }
 
-    /// The set of opcodes executed, in a stable order.
+    /// The set of opcodes executed, in a stable ([`Opcode`]) order.
     pub fn executed_opcodes(&self) -> impl Iterator<Item = Opcode> + '_ {
-        self.opcode_histogram.keys().copied()
+        Opcode::ALL.iter().copied().filter(|&op| self.count(op) > 0)
     }
 
     /// The opcode histogram keyed by mnemonic, sorted by mnemonic — the
     /// wire form a predictor service accepts: an ISS run's diversity
     /// travels as names, not as this workspace's enum ordinals.
     pub fn named_histogram(&self) -> Vec<(&'static str, u64)> {
-        let mut entries: Vec<(&'static str, u64)> = self
-            .opcode_histogram
+        by_mnemonic()
             .iter()
-            .map(|(op, &count)| (op.mnemonic(), count))
-            .collect();
-        entries.sort_unstable();
-        entries
+            .filter(|&&op| self.count(op) > 0)
+            .map(|&op| (op.mnemonic(), self.count(op)))
+            .collect()
     }
 }
 
@@ -164,8 +211,39 @@ mod tests {
         let mut stats = RunStats::default();
         stats.record(&alu(Opcode::Add));
         stats.record(&alu(Opcode::Add));
-        assert_eq!(stats.unit_accesses[&Unit::AluAdd], 2);
-        assert_eq!(stats.unit_accesses[&Unit::Fetch], 2);
+        stats.record(&alu(Opcode::Sll));
+        let accesses = stats.unit_accesses();
+        assert_eq!(accesses[Unit::AluAdd.index()], 2);
+        assert_eq!(accesses[Unit::Shift.index()], 1);
+        assert_eq!(accesses[Unit::Fetch.index()], 3);
+        assert_eq!(accesses[Unit::MulDiv.index()], 0);
+    }
+
+    #[test]
+    fn opcode_ordinals_are_positions_in_all() {
+        for (i, &op) in Opcode::ALL.iter().enumerate() {
+            assert_eq!(op as usize, i, "{op:?}");
+        }
+    }
+
+    #[test]
+    fn derived_views_agree_with_the_counts() {
+        let mut stats = RunStats::default();
+        for op in [Opcode::Sub, Opcode::Add, Opcode::Sub, Opcode::Xor] {
+            stats.record(&alu(op));
+        }
+        assert_eq!(
+            stats.opcode_histogram(),
+            vec![(Opcode::Add, 1), (Opcode::Sub, 2), (Opcode::Xor, 1)]
+        );
+        assert_eq!(stats.count(Opcode::Sub), 2);
+        assert_eq!(stats.count(Opcode::Or), 0);
+        assert_eq!(
+            stats.executed_opcodes().collect::<Vec<_>>(),
+            vec![Opcode::Add, Opcode::Sub, Opcode::Xor]
+        );
+        assert_eq!(RunStats::default().opcode_histogram(), vec![]);
+        assert_eq!(RunStats::default().diversity(), 0);
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Sparse, big-endian, page-granular memory.
 
 use sparc_asm::Program;
-use std::collections::HashMap;
 use std::fmt;
 
 const PAGE_SHIFT: u32 = 12;
@@ -41,10 +40,15 @@ impl std::error::Error for MemError {}
 /// Sparse big-endian memory covering a single RAM window.
 ///
 /// Pages are allocated lazily and zero-filled, so a multi-megabyte RAM costs
-/// only what the workload touches.
+/// only what the workload touches. The resident pages sit in one vector
+/// sorted by page number and are found by binary search: workloads touch a
+/// handful of pages, so a lookup is a few comparisons with no hashing, and
+/// a clone (a fault-campaign checkpoint) costs the resident pages plus one
+/// small vector, never a table sized to the RAM window.
 #[derive(Debug, Clone)]
 pub struct Memory {
-    pages: HashMap<u32, Box<[u8; PAGE_SIZE]>>,
+    /// `(page number, page)`, sorted by page number.
+    pages: Vec<(u32, Box<[u8; PAGE_SIZE]>)>,
     base: u32,
     size: u32,
 }
@@ -53,7 +57,7 @@ impl Memory {
     /// Memory with the given RAM window (e.g. base `0x4000_0000`).
     pub fn new(base: u32, size: u32) -> Memory {
         Memory {
-            pages: HashMap::new(),
+            pages: Vec::new(),
             base,
             size,
         }
@@ -89,14 +93,25 @@ impl Memory {
         Ok(())
     }
 
+    fn find(&self, addr: u32) -> Result<usize, usize> {
+        let page_no = addr >> PAGE_SHIFT;
+        self.pages.binary_search_by_key(&page_no, |&(no, _)| no)
+    }
+
     fn page(&self, addr: u32) -> Option<&[u8; PAGE_SIZE]> {
-        self.pages.get(&(addr >> PAGE_SHIFT)).map(|b| &**b)
+        self.find(addr).ok().map(|i| &*self.pages[i].1)
     }
 
     fn page_mut(&mut self, addr: u32) -> &mut [u8; PAGE_SIZE] {
-        self.pages
-            .entry(addr >> PAGE_SHIFT)
-            .or_insert_with(|| Box::new([0; PAGE_SIZE]))
+        let i = match self.find(addr) {
+            Ok(i) => i,
+            Err(i) => {
+                self.pages
+                    .insert(i, (addr >> PAGE_SHIFT, Box::new([0; PAGE_SIZE])));
+                i
+            }
+        };
+        &mut self.pages[i].1
     }
 
     /// Read one byte without alignment checks.
@@ -304,6 +319,48 @@ mod tests {
         m.write_u16(0x4000_0ffe, 0xabcd).unwrap();
         assert_eq!(m.read_u16(0x4000_0ffe).unwrap(), 0xabcd);
         assert_eq!(m.resident_pages(), 1);
+    }
+
+    #[test]
+    fn unaligned_window_edges_pages_and_clones() {
+        // The window starts half-way into one page and ends one word into
+        // another: 0x4000_0800..0x4000_2004 spans three pages.
+        let (base, end) = (0x4000_0800, 0x4000_2004);
+        let mut m = Memory::new(base, end - base);
+        // Out of order, so pages are inserted before and between others.
+        m.write_u32(end - 4, 0xcafe_f00d).unwrap();
+        m.write_u8(base, 0xa5).unwrap();
+        m.write_u16(0x4000_1ffe, 0x1234).unwrap();
+        assert_eq!(m.resident_pages(), 3);
+        assert_eq!(m.resident_bytes(), 3 * PAGE_SIZE);
+        assert_eq!(m.read_u32(end - 4).unwrap(), 0xcafe_f00d);
+        assert_eq!(m.read_u32(base).unwrap(), 0xa500_0000);
+        assert_eq!(m.read_u32(0x4000_1ffc).unwrap(), 0x0000_1234);
+        assert_eq!(m.read_u32(0x4000_1000).unwrap(), 0, "untouched word");
+        // One byte past either edge traps, including accesses in the
+        // resident edge pages.
+        for addr in [base - 1, end] {
+            assert_eq!(m.read_u8(addr), Err(MemError::OutOfRange { addr }));
+            assert_eq!(m.write_u8(addr, 1), Err(MemError::OutOfRange { addr }));
+        }
+        assert_eq!(
+            m.read_u32(base - 4),
+            Err(MemError::OutOfRange { addr: base - 4 })
+        );
+        assert_eq!(
+            m.read_u16(end - 1),
+            Err(MemError::OutOfRange { addr: end - 1 })
+        );
+        assert_eq!(m.resident_pages(), 3, "failed accesses allocate nothing");
+
+        let mut copy = m.clone();
+        copy.write_u32(base, 0xffff_ffff).unwrap();
+        copy.write_u32(0x4000_1000, 7).unwrap();
+        assert_eq!(m.read_u32(base).unwrap(), 0xa500_0000);
+        assert_eq!(m.read_u32(0x4000_1000).unwrap(), 0);
+        assert_eq!(copy.read_u32(base).unwrap(), 0xffff_ffff);
+        assert_eq!(copy.read_u32(0x4000_1000).unwrap(), 7);
+        assert_eq!(copy.read_u32(end - 4).unwrap(), 0xcafe_f00d);
     }
 
     #[test]

@@ -88,8 +88,13 @@ impl CacheModel {
     }
 
     fn index_and_tag(&self, addr: u32) -> (usize, u32) {
-        let line = addr as usize / self.spec.line_bytes;
-        (line % self.spec.lines, (line / self.spec.lines) as u32)
+        // Both geometry fields are powers of two (asserted in `new`), so
+        // the line/index/tag split is shifts and a mask.
+        let line = addr as usize >> self.spec.line_bytes.trailing_zeros();
+        (
+            line & (self.spec.lines - 1),
+            (line >> self.spec.lines.trailing_zeros()) as u32,
+        )
     }
 
     fn parity_check(&mut self, index: usize, tag: u32) {

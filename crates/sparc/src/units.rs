@@ -97,12 +97,10 @@ impl Unit {
         Unit::CacheCtrl,
     ];
 
-    /// A stable small index for bitset packing.
+    /// A stable small index for bitset packing: the unit's position in
+    /// [`Unit::ALL`].
     pub fn index(self) -> usize {
-        Unit::ALL
-            .iter()
-            .position(|&u| u == self)
-            .expect("unit in ALL")
+        self as usize
     }
 
     /// Whether this unit is part of the integer unit.
@@ -225,6 +223,13 @@ mod tests {
             );
         }
         assert_eq!(Unit::IU.len() + Unit::CMEM.len(), Unit::ALL.len());
+    }
+
+    #[test]
+    fn index_is_position_in_all() {
+        for u in Unit::ALL {
+            assert_eq!(Unit::ALL[u.index()], u);
+        }
     }
 
     #[test]
