@@ -9,7 +9,9 @@
 //!                [--lockstep-window N] [--parity] [--watchdog-cycles N]
 //!                [--threads N]
 //! repro serve  [--addr HOST:PORT] [--workers N] [--queue-depth N]
-//!              [--job-threads N] [--drain PATH]
+//!              [--job-threads N] [--lease-ttl-ms N] [--heartbeat-ms N]
+//!              [--max-attempts N] [--backoff-ms N] [--backoff-cap-ms N]
+//!              [--store PATH] [--drain PATH]
 //! repro submit [iu|cmem|whole] [--addr HOST:PORT] [--benchmark NAME]
 //!              [--sample N --seed N] [--injection-fraction F] [--shard I/N]
 //!              [--deadline-ms N] [--lockstep-window N] [--parity]
@@ -56,8 +58,8 @@
 //! failing (exit 1) on any regression beyond the in-file tolerance.
 //!
 //! `fleet` drives the fault-tolerant distributed service: `coordinate`
-//! starts a coordinator (lease table + shard store), `run` starts a
-//! runner working for one (`--chaos SEED` arms its deterministic fault
+//! is `serve` with no in-process workers by default and an on-disk
+//! store, `run` starts a runner working for a server (`--chaos SEED` arms its deterministic fault
 //! injector), `submit` cuts a campaign into shards and hands it to the
 //! fleet, and `status` polls or `--watch`-streams a fleet campaign.
 //! `repro fleet --help` prints the verb reference and exits 0.
@@ -105,8 +107,8 @@ use sparc_iss::{Iss, IssConfig, RunOutcome};
 use std::path::PathBuf;
 use std::time::Duration;
 use verifd::{
-    client, CampaignSpec, Coordinator, CoordinatorConfig, Runner, RunnerConfig, Server,
-    ServerConfig,
+    client, CampaignSpec, CoordinatorConfig, Runner, RunnerConfig, Server, ServerConfig,
+    RUNNER_FLAGS, SERVER_FLAGS,
 };
 use workloads::{Benchmark, Params};
 
@@ -308,53 +310,110 @@ fn run_inject(config: &ExperimentConfig, args: &[String]) {
     print!("{}", inject_study(config, kind, &targets));
 }
 
-/// `repro serve`: run a campaign service in this process until a
+/// `repro serve`: run a server with in-process workers until a
 /// `POST /shutdown` stops it.
 fn run_serve(args: &[String]) {
-    let usage = "usage: repro serve [--addr HOST:PORT] [--workers N] [--queue-depth N] \
-                 [--job-threads N] [--drain PATH]";
-    let mut config = ServerConfig {
+    let base = ServerConfig {
         addr: DEFAULT_ADDR.to_string(),
         ..ServerConfig::default()
     };
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        let mut value = |flag: &str| {
-            iter.next().cloned().unwrap_or_else(|| {
-                eprintln!("`{flag}` needs a value\n{usage}");
-                std::process::exit(2);
-            })
-        };
-        match arg.as_str() {
-            "--addr" => config.addr = value("--addr"),
-            "--workers" => config.workers = parse_usize("--workers", value("--workers"), usage),
-            "--queue-depth" => {
-                config.queue_depth = parse_usize("--queue-depth", value("--queue-depth"), usage);
-            }
-            "--job-threads" => {
-                config.job_threads = parse_usize("--job-threads", value("--job-threads"), usage);
-            }
-            "--drain" => config.drain_path = Some(PathBuf::from(value("--drain"))),
-            other => {
-                eprintln!("unknown serve argument `{other}`\n{usage}");
-                std::process::exit(2);
-            }
-        }
-    }
-    if config.queue_depth == 0 || config.job_threads == 0 {
-        eprintln!("`--queue-depth` and `--job-threads` must be at least 1\n{usage}");
+    serve(args, base, &format!("usage: repro serve {SERVER_FLAGS}"));
+}
+
+/// Start a server from `base` plus the flags and block until it stops.
+/// Bad flags exit 2, a failed start exits 1.
+fn serve(args: &[String], base: ServerConfig, usage: &str) {
+    let config = ServerConfig::from_args(args, base).unwrap_or_else(|e| {
+        eprintln!("{e}\n{usage}");
         std::process::exit(2);
-    }
+    });
     match Server::start(config) {
         Ok(server) => {
             eprintln!("[repro] verifd listening on {}", server.addr());
             server.join();
         }
         Err(e) => {
-            eprintln!("[repro] cannot start service: {e}");
+            eprintln!("[repro] cannot start server: {e}");
             std::process::exit(1);
         }
     }
+}
+
+/// The campaign `repro submit` and `repro fleet submit` start from:
+/// `repro campaign`'s sizing — sampled sites and the 5% injection
+/// instant — on `rspeed`'s integer unit.
+fn submit_spec(config: &ExperimentConfig) -> CampaignSpec {
+    let mut spec = CampaignSpec::new(Benchmark::Rspeed, Target::IntegerUnit);
+    spec.sample = Some((config.sample_per_campaign, config.seed));
+    spec.injection = InjectionInstant::Fraction(0.05);
+    spec
+}
+
+/// Apply one campaign-spec flag, shared by `repro submit` and
+/// `repro fleet submit`; `false` when `arg` is not one. Bad values exit 2.
+fn spec_flag(
+    spec: &mut CampaignSpec,
+    config: &ExperimentConfig,
+    arg: &str,
+    value: &mut dyn FnMut(&str) -> String,
+    usage: &str,
+) -> bool {
+    let fail = |message: String| -> ! {
+        eprintln!("{message}\n{usage}");
+        std::process::exit(2);
+    };
+    match arg {
+        "iu" => spec.target = Target::IntegerUnit,
+        "cmem" => spec.target = Target::CacheMemory,
+        "whole" => spec.target = Target::Whole,
+        "--benchmark" => {
+            let name = value(arg);
+            spec.benchmark = Benchmark::by_name(&name)
+                .unwrap_or_else(|| fail(format!("unknown benchmark `{name}`")));
+        }
+        "--sample" => {
+            let n = parse_usize(arg, value(arg), usage);
+            spec.sample = Some((n, spec.sample.map_or(config.seed, |(_, s)| s)));
+        }
+        "--seed" => {
+            let seed = parse_usize(arg, value(arg), usage) as u64;
+            spec.sample = Some((
+                spec.sample.map_or(config.sample_per_campaign, |(n, _)| n),
+                seed,
+            ));
+        }
+        "--exhaustive" => spec.sample = None,
+        "--injection-cycle" => {
+            spec.injection = InjectionInstant::Cycle(parse_usize(arg, value(arg), usage) as u64);
+        }
+        "--injection-fraction" => {
+            let raw = value(arg);
+            let f = raw
+                .parse()
+                .unwrap_or_else(|_| fail(format!("`{arg}` needs a number, got `{raw}`")));
+            spec.injection = InjectionInstant::Fraction(f);
+        }
+        "--shard" => {
+            let raw = value(arg);
+            let parsed = raw
+                .split_once('/')
+                .and_then(|(i, n)| Some((i.parse::<u32>().ok()?, n.parse::<u32>().ok()?)));
+            match parsed {
+                Some((i, n)) if n > 0 && i < n => spec.shard = Some((i, n)),
+                _ => fail(format!("`--shard` wants I/N with I < N, got `{raw}`")),
+            }
+        }
+        "--deadline-ms" => spec.deadline_ms = Some(parse_usize(arg, value(arg), usage) as u64),
+        "--lockstep-window" => {
+            spec.safety.lockstep_window = Some(parse_usize(arg, value(arg), usage) as u64);
+        }
+        "--parity" => spec.safety.parity = true,
+        "--watchdog-cycles" => {
+            spec.safety.watchdog_cycles = Some(parse_usize(arg, value(arg), usage) as u64);
+        }
+        _ => return false,
+    }
+    true
 }
 
 /// `repro submit`: send one campaign spec to a running service and
@@ -365,11 +424,7 @@ fn run_submit(config: &ExperimentConfig, args: &[String]) {
                  [--injection-fraction F] [--shard I/N] [--deadline-ms N] \
                  [--lockstep-window N] [--parity] [--watchdog-cycles N] [--detach] [--json]";
     let mut addr = DEFAULT_ADDR.to_string();
-    let mut spec = CampaignSpec::new(Benchmark::Rspeed, Target::IntegerUnit);
-    // Mirror `repro campaign` sizing: sampled sites and the 5% injection
-    // instant, both overridable below.
-    spec.sample = Some((config.sample_per_campaign, config.seed));
-    spec.injection = InjectionInstant::Fraction(0.05);
+    let mut spec = submit_spec(config);
     let mut detach = false;
     let mut json = false;
     let mut iter = args.iter();
@@ -381,75 +436,10 @@ fn run_submit(config: &ExperimentConfig, args: &[String]) {
             })
         };
         match arg.as_str() {
-            "iu" => spec.target = Target::IntegerUnit,
-            "cmem" => spec.target = Target::CacheMemory,
-            "whole" => spec.target = Target::Whole,
             "--addr" => addr = value("--addr"),
-            "--benchmark" => {
-                let name = value("--benchmark");
-                spec.benchmark = Benchmark::by_name(&name).unwrap_or_else(|| {
-                    eprintln!("unknown benchmark `{name}`\n{usage}");
-                    std::process::exit(2);
-                });
-            }
-            "--sample" => {
-                let n = parse_usize("--sample", value("--sample"), usage);
-                let seed = spec.sample.map_or(config.seed, |(_, s)| s);
-                spec.sample = Some((n, seed));
-            }
-            "--seed" => {
-                let seed = parse_usize("--seed", value("--seed"), usage) as u64;
-                let n = spec.sample.map_or(config.sample_per_campaign, |(n, _)| n);
-                spec.sample = Some((n, seed));
-            }
-            "--exhaustive" => spec.sample = None,
-            "--injection-cycle" => {
-                spec.injection = InjectionInstant::Cycle(parse_usize(
-                    "--injection-cycle",
-                    value("--injection-cycle"),
-                    usage,
-                ) as u64);
-            }
-            "--injection-fraction" => {
-                let raw = value("--injection-fraction");
-                let f: f64 = raw.parse().unwrap_or_else(|_| {
-                    eprintln!("`--injection-fraction` needs a number, got `{raw}`\n{usage}");
-                    std::process::exit(2);
-                });
-                spec.injection = InjectionInstant::Fraction(f);
-            }
-            "--shard" => {
-                let raw = value("--shard");
-                let parsed = raw
-                    .split_once('/')
-                    .and_then(|(i, n)| Some((i.parse::<u32>().ok()?, n.parse::<u32>().ok()?)));
-                match parsed {
-                    Some((i, n)) if n > 0 && i < n => spec.shard = Some((i, n)),
-                    _ => {
-                        eprintln!("`--shard` wants I/N with I < N, got `{raw}`\n{usage}");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--deadline-ms" => {
-                spec.deadline_ms =
-                    Some(parse_usize("--deadline-ms", value("--deadline-ms"), usage) as u64);
-            }
-            "--lockstep-window" => {
-                spec.safety.lockstep_window =
-                    Some(
-                        parse_usize("--lockstep-window", value("--lockstep-window"), usage) as u64,
-                    );
-            }
-            "--parity" => spec.safety.parity = true,
-            "--watchdog-cycles" => {
-                spec.safety.watchdog_cycles =
-                    Some(
-                        parse_usize("--watchdog-cycles", value("--watchdog-cycles"), usage) as u64,
-                    );
-            }
             "--detach" => detach = true,
             "--json" => json = true,
+            other if spec_flag(&mut spec, config, other, &mut value, usage) => {}
             other => {
                 eprintln!("unknown submit argument `{other}`\n{usage}");
                 std::process::exit(2);
@@ -537,155 +527,66 @@ fn run_merge(args: &[String]) {
 
 /// The verb reference `repro fleet --help` prints (exit 0) and every
 /// fleet usage error cites (exit 2).
-const FLEET_USAGE: &str = "usage: repro fleet <verb> [flags...]
-  coordinate  [--addr HOST:PORT] [--queue-depth N] [--lease-ttl-ms N]
-              [--heartbeat-ms N] [--max-attempts N] [--backoff-ms N]
-              [--backoff-cap-ms N] [--store PATH] [--drain PATH]
-  run         [--addr HOST:PORT] [--name NAME] [--job-threads N]
-              [--workdir PATH] [--chaos SEED]
+fn fleet_usage() -> String {
+    format!(
+        "usage: repro fleet <verb> [flags...]
+  coordinate  {SERVER_FLAGS}
+  run         {RUNNER_FLAGS}
   submit      [iu|cmem|whole] [--addr HOST:PORT] [--benchmark NAME]
-              [--sample N --seed N] [--injection-fraction F]
-              [--deadline-ms N] [--shards N] [--watch] [--detach] [--json]
+              [--sample N --seed N] [--exhaustive] [--injection-cycle N]
+              [--injection-fraction F] [--deadline-ms N] [--lockstep-window N]
+              [--parity] [--watchdog-cycles N] [--shards N] [--watch]
+              [--detach] [--json]
   status      [--addr HOST:PORT] [--watch] [--json] ID
 
-`coordinate` runs the fleet coordinator until POST /shutdown: it leases
-shards to registered runners under wall-clock TTLs, re-queues expired or
-failed leases with capped exponential backoff, poisons a shard after
---max-attempts leases (degrading its campaign), and persists finished
-shards in the --store directory keyed by fingerprint + geometry.
-`run` works for a coordinator until the fleet drains; --chaos arms the
+`coordinate` is `repro serve` with --workers defaulting to 0 and an
+on-disk --store: it leases shards to registered runners under wall-clock
+TTLs, re-queues expired or failed leases with capped exponential backoff,
+poisons a shard after --max-attempts leases (degrading its campaign), and
+persists finished shards in the --store directory keyed by fingerprint +
+geometry. `run` works for a server until it drains; --chaos arms the
 deterministic lease-fault injector (crash/stall/vanish schedules).
-`submit` shards one campaign across the fleet; a full coordinator answers
-503 with a Retry-After hint. `status --watch` streams chunked progress.";
+`submit` shards one campaign across the fleet; a full server answers 503
+with a Retry-After hint. `status --watch` streams chunked progress."
+    )
+}
 
 /// `repro fleet <verb>`: drive the fault-tolerant coordinator + runner
-/// fleet (see [`FLEET_USAGE`]).
+/// fleet (see [`fleet_usage`]).
 fn run_fleet(config: &ExperimentConfig, args: &[String]) {
     match args.first().map(String::as_str) {
         Some("coordinate") => fleet_coordinate(&args[1..]),
         Some("run") => fleet_run(&args[1..]),
         Some("submit") => fleet_submit(config, &args[1..]),
         Some("status") => fleet_status(&args[1..]),
-        Some("--help" | "-h") | None => println!("{FLEET_USAGE}"),
+        Some("--help" | "-h") | None => println!("{}", fleet_usage()),
         Some(other) => {
-            eprintln!("unknown fleet verb `{other}`\n{FLEET_USAGE}");
+            eprintln!("unknown fleet verb `{other}`\n{}", fleet_usage());
             std::process::exit(2);
         }
     }
 }
 
-/// `repro fleet coordinate`: run a coordinator in this process until a
-/// `POST /shutdown` stops it.
+/// `repro fleet coordinate`: `repro serve` with no in-process workers
+/// by default and an on-disk store.
 fn fleet_coordinate(args: &[String]) {
-    let mut config = CoordinatorConfig {
+    let base = ServerConfig::from(CoordinatorConfig {
         addr: DEFAULT_FLEET_ADDR.to_string(),
         ..CoordinatorConfig::default()
-    };
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        let mut value = |flag: &str| {
-            iter.next().cloned().unwrap_or_else(|| {
-                eprintln!("`{flag}` needs a value\n{FLEET_USAGE}");
-                std::process::exit(2);
-            })
-        };
-        match arg.as_str() {
-            "--addr" => config.addr = value("--addr"),
-            "--queue-depth" => {
-                config.queue_depth =
-                    parse_usize("--queue-depth", value("--queue-depth"), FLEET_USAGE);
-            }
-            "--lease-ttl-ms" => {
-                config.lease_ttl_ms =
-                    parse_usize("--lease-ttl-ms", value("--lease-ttl-ms"), FLEET_USAGE) as u64;
-            }
-            "--heartbeat-ms" => {
-                config.heartbeat_ms =
-                    parse_usize("--heartbeat-ms", value("--heartbeat-ms"), FLEET_USAGE) as u64;
-            }
-            "--max-attempts" => {
-                config.max_attempts =
-                    parse_usize("--max-attempts", value("--max-attempts"), FLEET_USAGE) as u64;
-            }
-            "--backoff-ms" => {
-                config.backoff_base_ms =
-                    parse_usize("--backoff-ms", value("--backoff-ms"), FLEET_USAGE) as u64;
-            }
-            "--backoff-cap-ms" => {
-                config.backoff_cap_ms =
-                    parse_usize("--backoff-cap-ms", value("--backoff-cap-ms"), FLEET_USAGE) as u64;
-            }
-            "--store" => config.store_path = PathBuf::from(value("--store")),
-            "--drain" => config.drain_path = Some(PathBuf::from(value("--drain"))),
-            other => {
-                eprintln!("unknown coordinate flag `{other}`\n{FLEET_USAGE}");
-                std::process::exit(2);
-            }
-        }
-    }
-    if config.queue_depth == 0 || config.max_attempts == 0 || config.lease_ttl_ms == 0 {
-        eprintln!(
-            "`--queue-depth`, `--max-attempts` and `--lease-ttl-ms` must be at least 1\n{FLEET_USAGE}"
-        );
-        std::process::exit(2);
-    }
-    match Coordinator::start(config) {
-        Ok(coordinator) => {
-            eprintln!(
-                "[repro] fleet coordinator listening on {}",
-                coordinator.addr()
-            );
-            coordinator.join();
-        }
-        Err(e) => {
-            eprintln!("[repro] cannot start coordinator: {e}");
-            std::process::exit(1);
-        }
-    }
+    });
+    serve(args, base, &fleet_usage());
 }
 
-/// `repro fleet run`: work for a coordinator until the fleet drains.
+/// `repro fleet run`: work for a server until it drains.
 fn fleet_run(args: &[String]) {
-    let mut config = RunnerConfig {
-        coordinator: DEFAULT_FLEET_ADDR.to_string(),
-        ..RunnerConfig::default()
-    };
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        let mut value = |flag: &str| {
-            iter.next().cloned().unwrap_or_else(|| {
-                eprintln!("`{flag}` needs a value\n{FLEET_USAGE}");
-                std::process::exit(2);
-            })
-        };
-        match arg.as_str() {
-            "--addr" => config.coordinator = value("--addr"),
-            "--name" => config.name = value("--name"),
-            "--job-threads" => {
-                config.job_threads =
-                    parse_usize("--job-threads", value("--job-threads"), FLEET_USAGE);
-            }
-            "--workdir" => config.workdir = PathBuf::from(value("--workdir")),
-            "--chaos" => {
-                config.chaos = Some(parse_usize("--chaos", value("--chaos"), FLEET_USAGE) as u64);
-            }
-            other => {
-                eprintln!("unknown run flag `{other}`\n{FLEET_USAGE}");
-                std::process::exit(2);
-            }
-        }
-    }
-    if config.job_threads == 0 {
-        eprintln!("`--job-threads` must be at least 1\n{FLEET_USAGE}");
+    let config = RunnerConfig::from_args(args).unwrap_or_else(|e| {
+        eprintln!("{e}\n{}", fleet_usage());
         std::process::exit(2);
-    }
-    let coordinator = config.coordinator.clone();
+    });
+    let addr = config.coordinator.clone();
     match Runner::start(config) {
         Ok(runner) => {
-            eprintln!(
-                "[repro] runner {} working for {coordinator}",
-                runner.runner_id()
-            );
+            eprintln!("[repro] runner {} working for {addr}", runner.runner_id());
             runner.join();
             eprintln!("[repro] fleet drained; runner exiting");
         }
@@ -700,10 +601,9 @@ fn fleet_run(args: &[String]) {
 /// fleet, and (unless detached) follow it to a terminal state. Exits 1
 /// when the campaign completes degraded.
 fn fleet_submit(config: &ExperimentConfig, args: &[String]) {
+    let usage = fleet_usage();
     let mut addr = DEFAULT_FLEET_ADDR.to_string();
-    let mut spec = CampaignSpec::new(Benchmark::Rspeed, Target::IntegerUnit);
-    spec.sample = Some((config.sample_per_campaign, config.seed));
-    spec.injection = InjectionInstant::Fraction(0.05);
+    let mut spec = submit_spec(config);
     let mut shards: u32 = 2;
     let mut watch = false;
     let mut detach = false;
@@ -712,59 +612,30 @@ fn fleet_submit(config: &ExperimentConfig, args: &[String]) {
     while let Some(arg) = iter.next() {
         let mut value = |flag: &str| {
             iter.next().cloned().unwrap_or_else(|| {
-                eprintln!("`{flag}` needs a value\n{FLEET_USAGE}");
+                eprintln!("`{flag}` needs a value\n{usage}");
                 std::process::exit(2);
             })
         };
         match arg.as_str() {
-            "iu" => spec.target = Target::IntegerUnit,
-            "cmem" => spec.target = Target::CacheMemory,
-            "whole" => spec.target = Target::Whole,
             "--addr" => addr = value("--addr"),
-            "--benchmark" => {
-                let name = value("--benchmark");
-                spec.benchmark = Benchmark::by_name(&name).unwrap_or_else(|| {
-                    eprintln!("unknown benchmark `{name}`\n{FLEET_USAGE}");
-                    std::process::exit(2);
-                });
-            }
-            "--sample" => {
-                let n = parse_usize("--sample", value("--sample"), FLEET_USAGE);
-                let seed = spec.sample.map_or(config.seed, |(_, s)| s);
-                spec.sample = Some((n, seed));
-            }
-            "--seed" => {
-                let seed = parse_usize("--seed", value("--seed"), FLEET_USAGE) as u64;
-                let n = spec.sample.map_or(config.sample_per_campaign, |(n, _)| n);
-                spec.sample = Some((n, seed));
-            }
-            "--injection-fraction" => {
-                let raw = value("--injection-fraction");
-                let f: f64 = raw.parse().unwrap_or_else(|_| {
-                    eprintln!("`--injection-fraction` needs a number, got `{raw}`\n{FLEET_USAGE}");
-                    std::process::exit(2);
-                });
-                spec.injection = InjectionInstant::Fraction(f);
-            }
-            "--deadline-ms" => {
-                spec.deadline_ms =
-                    Some(parse_usize("--deadline-ms", value("--deadline-ms"), FLEET_USAGE) as u64);
-            }
             "--shards" => {
-                let n = parse_usize("--shards", value("--shards"), FLEET_USAGE);
+                let n = parse_usize("--shards", value("--shards"), &usage);
                 shards = u32::try_from(n).unwrap_or(0);
             }
             "--watch" => watch = true,
             "--detach" => detach = true,
             "--json" => json = true,
+            other
+                if other != "--shard"
+                    && spec_flag(&mut spec, config, other, &mut value, &usage) => {}
             other => {
-                eprintln!("unknown submit flag `{other}`\n{FLEET_USAGE}");
+                eprintln!("unknown submit flag `{other}`\n{usage}");
                 std::process::exit(2);
             }
         }
     }
     if shards == 0 || shards > 4096 {
-        eprintln!("`--shards` wants 1..=4096\n{FLEET_USAGE}");
+        eprintln!("`--shards` wants 1..=4096\n{usage}");
         std::process::exit(2);
     }
     let reply = client::fleet_submit(&addr, &spec, shards).unwrap_or_else(|e| {
@@ -797,6 +668,7 @@ fn fleet_submit(config: &ExperimentConfig, args: &[String]) {
 /// `repro fleet status`: poll (or `--watch` stream) one fleet campaign.
 /// Exits 1 when the campaign is degraded.
 fn fleet_status(args: &[String]) {
+    let usage = fleet_usage();
     let mut addr = DEFAULT_FLEET_ADDR.to_string();
     let mut watch = false;
     let mut json = false;
@@ -806,7 +678,7 @@ fn fleet_status(args: &[String]) {
         match arg.as_str() {
             "--addr" => {
                 addr = iter.next().cloned().unwrap_or_else(|| {
-                    eprintln!("`--addr` needs a value\n{FLEET_USAGE}");
+                    eprintln!("`--addr` needs a value\n{usage}");
                     std::process::exit(2);
                 });
             }
@@ -815,14 +687,14 @@ fn fleet_status(args: &[String]) {
             raw => match raw.parse::<u64>() {
                 Ok(n) => id = Some(n),
                 Err(_) => {
-                    eprintln!("`{raw}` is not a fleet campaign id\n{FLEET_USAGE}");
+                    eprintln!("`{raw}` is not a fleet campaign id\n{usage}");
                     std::process::exit(2);
                 }
             },
         }
     }
     let Some(id) = id else {
-        eprintln!("`status` needs a campaign id\n{FLEET_USAGE}");
+        eprintln!("`status` needs a campaign id\n{usage}");
         std::process::exit(2);
     };
     let status = if watch {

@@ -251,6 +251,18 @@ impl Campaign {
         }
     }
 
+    /// The modelled safety mechanisms.
+    pub fn safety(&self) -> SafetyConfig {
+        self.safety
+    }
+
+    /// The hash of the workload image — the first half of
+    /// [`Campaign::fingerprint`], shared by every campaign over the same
+    /// program.
+    pub fn workload_hash(&self) -> u64 {
+        workload_hash(&self.program)
+    }
+
     /// Configure the modelled safety mechanisms (see [`SafetyConfig`]).
     /// All mechanisms are off by default, in which case every record's
     /// detection is [`Detection::Undetected`] and outcomes are

@@ -507,24 +507,43 @@ impl CorrelationSpec {
     ///
     /// Propagates the first cell campaign's [`CampaignError`].
     pub fn run(&self, threads: usize) -> Result<CorrelationShard, CampaignError> {
+        // One golden capture per cell, shared across its domains — the
+        // prepared workload depends on the program and platform config,
+        // not on where faults go.
+        let mut prepared: Option<(u64, PreparedWorkload)> = None;
+        self.run_with(|campaign| {
+            let workload = campaign.workload_hash();
+            if prepared.as_ref().map(|(hash, _)| *hash) != Some(workload) {
+                prepared = Some((workload, campaign.prepare()?));
+            }
+            let (_, golden) = prepared.as_ref().expect("prepared above");
+            campaign.try_run_prepared(threads, golden)
+        })
+    }
+
+    /// [`CorrelationSpec::run`] with the caller executing each cell
+    /// campaign (cell-major, targets inner): a service routes them
+    /// through its golden-run cache, a fleet runner through its journal.
+    /// The shard is byte-identical whichever executor produced the
+    /// campaign results.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first error `run` returns.
+    pub fn run_with<E>(
+        &self,
+        mut run: impl FnMut(&Campaign) -> Result<CampaignResult, E>,
+    ) -> Result<CorrelationShard, E> {
         let (index, count) = self.shard.unwrap_or((0, 1));
         let mut spec = self.clone();
         spec.shard = None;
-        let cells: Vec<CellMeasurement> =
-            self.cells().iter().map(CorrelationCell::measure).collect();
+        let cells = self.cells();
+        let measurements = cells.iter().map(CorrelationCell::measure).collect();
         let mut results = Vec::new();
-        for cell in self.cells() {
-            // One golden capture per cell, shared across its domains —
-            // the prepared workload depends on the program and platform
-            // config, not on where faults go.
-            let mut prepared: Option<PreparedWorkload> = None;
+        for cell in &cells {
             for &target in &self.targets {
-                let campaign = self.campaign(&cell, target);
-                if prepared.is_none() {
-                    prepared = Some(campaign.prepare()?);
-                }
-                let workload = prepared.as_ref().expect("prepared above");
-                let result = campaign.try_run_prepared(threads, workload)?;
+                let campaign = self.campaign(cell, target);
+                let result = run(&campaign)?;
                 results.push(ShardResult {
                     fingerprint: campaign.fingerprint(),
                     index,
@@ -537,7 +556,7 @@ impl CorrelationSpec {
             spec,
             index,
             count,
-            cells,
+            cells: measurements,
             results,
         })
     }

@@ -51,11 +51,13 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Fails with a human-readable reason on any syntax error.
+    /// Fails with a human-readable reason on any syntax error, and on
+    /// arrays and objects nested deeper than [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -327,9 +329,18 @@ pub fn target_from_token(token: &str) -> Option<Target> {
     }
 }
 
+/// How deeply [`Json::parse`] lets arrays and objects nest. The parser
+/// (and the drop of the value it builds) recurse once per level, so an
+/// unbounded depth lets one request body of `[`s overflow the stack of
+/// whatever thread parses it. Every message of the dialect nests a
+/// handful of levels.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -362,14 +373,25 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => Err(format!(
+                "nesting deeper than {MAX_DEPTH} at offset {}",
+                self.pos
+            )),
+            Some(b'{') => self.nested(Parser::object),
+            Some(b'[') => self.nested(Parser::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b'0'..=b'9' | b'-') => self.number(),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             _ => Err(format!("unexpected byte at offset {}", self.pos)),
         }
+    }
+
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {

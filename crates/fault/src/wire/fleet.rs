@@ -4,11 +4,11 @@
 //! The coordinator/runner split lives in the `verifd` crate; the
 //! messages live here, next to the rest of the wire dialect, so every
 //! byte that crosses a fleet socket is serialized by the same canonical
-//! JSON code as the journal and the campaign results. The campaign spec
-//! inside a [`LeaseGrant`] is deliberately opaque at this layer — an
-//! already-canonical [`Json`] object the coordinator produced and the
-//! runner re-parses — because the spec type itself belongs to the
-//! service crate.
+//! JSON code as the journal and the campaign results. The job spec
+//! inside a [`LeaseGrant`] (a campaign spec or a correlation sweep) is
+//! deliberately opaque at this layer — an already-canonical [`Json`]
+//! object the server produced and the runner re-parses — because the
+//! campaign spec type itself belongs to the service crate.
 //!
 //! Lifecycle on the wire:
 //!
@@ -20,12 +20,13 @@
 //!   | <--- LeaseReply::Grant/NoWork   |
 //!   | -- Heartbeat (every interval) > |       POST /heartbeat
 //!   | <------------------------- Ack  |       (ok=false: lease lost)
-//!   | -- Complete{ShardResult} -----> |       POST /complete
+//!   | -- Complete{JobOutput} -------> |       POST /complete
 //!   | -- Fail{error, journal?} -----> |       POST /fail
 //!   | <------------------------- Ack  |       (ok=false: lease lost)
 //! ```
 
 use super::{escape_json, Json, ShardResult};
+use crate::correlation::CorrelationShard;
 use std::fmt::Write as _;
 
 /// A runner introducing itself to the coordinator.
@@ -132,8 +133,9 @@ pub struct LeaseGrant {
     pub campaign_id: u64,
     /// Which lease attempt this is for the shard (1 = first holder).
     pub attempt: u64,
-    /// The canonical campaign spec, shard coordinates already set. The
-    /// runner re-parses it; the protocol layer does not interpret it.
+    /// The canonical job spec — a campaign spec with its shard
+    /// coordinates already set, or a correlation sweep. The runner
+    /// re-parses it; the protocol layer does not interpret it.
     pub spec: Json,
     /// Partial shard journal (JSONL text) uploaded by a previous failed
     /// holder; the runner writes it locally and resumes instead of
@@ -268,25 +270,75 @@ impl Ack {
     }
 }
 
-/// A completed shard, uploaded under its lease.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// What one leased slot produces: a campaign shard, or one shard of a
+/// correlation sweep.
+#[derive(Debug, Clone, PartialEq)]
+pub enum JobOutput {
+    /// A campaign shard's full result.
+    Campaign(ShardResult),
+    /// A correlation sweep's shard: cell measurements plus every cell
+    /// campaign's slice.
+    Correlation(CorrelationShard),
+}
+
+impl JobOutput {
+    /// Serialize as one canonical JSON object (the inner value's own
+    /// canonical form).
+    pub fn to_json(&self) -> String {
+        match self {
+            JobOutput::Campaign(shard) => shard.to_json(),
+            JobOutput::Correlation(shard) => shard.to_json(),
+        }
+    }
+
+    /// Parse from an already-parsed [`JobOutput::to_json`] object: a
+    /// correlation shard is the only shape with a `cells` list.
+    ///
+    /// # Errors
+    ///
+    /// Fails with a human-readable reason on a missing or mistyped field.
+    pub fn from_obj(v: &Json) -> Result<JobOutput, String> {
+        if v.get("cells").is_some() {
+            CorrelationShard::from_obj(v).map(JobOutput::Correlation)
+        } else {
+            ShardResult::from_obj(v).map(JobOutput::Campaign)
+        }
+    }
+
+    /// Every campaign result inside, in job order.
+    pub fn shards_mut(&mut self) -> &mut [ShardResult] {
+        match self {
+            JobOutput::Campaign(shard) => std::slice::from_mut(shard),
+            JobOutput::Correlation(shard) => &mut shard.results,
+        }
+    }
+}
+
+/// A completed slot, uploaded under its lease. On the wire a campaign
+/// shard travels as `"shard"` and a correlation shard as
+/// `"correlation"`.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Complete {
     /// The id from [`Registered`].
     pub runner_id: u64,
-    /// The lease the shard ran under.
+    /// The lease the slot ran under.
     pub lease_id: u64,
-    /// The shard's full result.
-    pub shard: ShardResult,
+    /// The slot's full output.
+    pub output: JobOutput,
 }
 
 impl Complete {
     /// Serialize as one canonical JSON object.
     pub fn to_json(&self) -> String {
+        let field = match self.output {
+            JobOutput::Campaign(_) => "shard",
+            JobOutput::Correlation(_) => "correlation",
+        };
         format!(
-            "{{\"runner_id\":{},\"lease_id\":{},\"shard\":{}}}",
+            "{{\"runner_id\":{},\"lease_id\":{},\"{field}\":{}}}",
             self.runner_id,
             self.lease_id,
-            self.shard.to_json()
+            self.output.to_json()
         )
     }
 
@@ -296,10 +348,15 @@ impl Complete {
     ///
     /// Fails with a human-readable reason on a missing or mistyped field.
     pub fn from_obj(v: &Json) -> Result<Complete, String> {
+        let output = match (v.get("shard"), v.get("correlation")) {
+            (Some(shard), None) => JobOutput::Campaign(ShardResult::from_obj(shard)?),
+            (None, Some(shard)) => JobOutput::Correlation(CorrelationShard::from_obj(shard)?),
+            _ => return Err("give one of `shard` or `correlation`".to_string()),
+        };
         Ok(Complete {
             runner_id: v.get_u64("runner_id").ok_or("missing `runner_id`")?,
             lease_id: v.get_u64("lease_id").ok_or("missing `lease_id`")?,
-            shard: ShardResult::from_obj(v.get("shard").ok_or("missing `shard`")?)?,
+            output,
         })
     }
 }
@@ -444,20 +501,33 @@ mod tests {
 
     #[test]
     fn completion_and_failure_round_trip() {
-        let complete = Complete {
-            runner_id: 2,
-            lease_id: 9,
-            shard: ShardResult {
-                fingerprint: "aa-bb".to_string(),
-                index: 1,
-                count: 2,
-                result: CampaignResult::with_stats(Vec::new(), CampaignStats::default()),
-            },
+        let shard = ShardResult {
+            fingerprint: "aa-bb".to_string(),
+            index: 1,
+            count: 2,
+            result: CampaignResult::with_stats(Vec::new(), CampaignStats::default()),
         };
-        assert_eq!(
-            Complete::from_obj(&reparse(&complete.to_json())).unwrap(),
-            complete
-        );
+        let correlation = CorrelationShard {
+            spec: crate::correlation::CorrelationSpec::new(),
+            index: 0,
+            count: 1,
+            cells: Vec::new(),
+            results: vec![shard.clone()],
+        };
+        for output in [
+            JobOutput::Campaign(shard),
+            JobOutput::Correlation(correlation),
+        ] {
+            let complete = Complete {
+                runner_id: 2,
+                lease_id: 9,
+                output,
+            };
+            assert_eq!(
+                Complete::from_obj(&reparse(&complete.to_json())).unwrap(),
+                complete
+            );
+        }
         let fail = Fail {
             runner_id: 2,
             lease_id: 9,

@@ -255,7 +255,52 @@ fn arb_predict_request() -> impl Strategy<Value = PredictRequest> {
         )
 }
 
+/// Bytes weighted toward the dialect's structural characters, so the
+/// parser meets unbalanced brackets, stray separators, half literals and
+/// broken escapes far more often than uniform noise would produce them.
+const JSON_BYTES: [u8; 20] = [
+    b'[', b']', b'{', b'}', b'"', b':', b',', b'\\', b'-', b'.', b'0', b'7', b't', b'f', b'u',
+    b' ', b'a', 0x80, 0xff, b'\n',
+];
+
+/// Arbitrary input text for [`Json::parse`]: a run of opening brackets
+/// (deep enough, at the top of the range, to overflow a recursive
+/// parser's stack) followed by arbitrary bytes, lossily decoded.
+fn arb_json_text() -> impl Strategy<Value = String> {
+    (
+        0usize..200_000,
+        any::<bool>(),
+        proptest::collection::vec(
+            (any::<bool>(), 0usize..JSON_BYTES.len(), any::<u8>()),
+            0..64,
+        ),
+    )
+        .prop_map(|(depth, objects, tail)| {
+            let open: &[u8] = if objects { b"{\"k\":" } else { b"[" };
+            let mut bytes = open.repeat(depth);
+            bytes.extend(tail.into_iter().map(
+                |(structural, pick, raw)| {
+                    if structural {
+                        JSON_BYTES[pick]
+                    } else {
+                        raw
+                    }
+                },
+            ));
+            String::from_utf8_lossy(&bytes).into_owned()
+        })
+}
+
 proptest! {
+    /// The parser never panics or overflows its stack: arbitrary bytes,
+    /// nesting included, parse or come back as an error.
+    #[test]
+    fn json_parse_never_panics(text in arb_json_text()) {
+        if let Ok(value) = Json::parse(&text) {
+            prop_assert_eq!(Json::parse(&value.to_json()), Ok(value));
+        }
+    }
+
     /// Every entry the campaign can produce survives the wire format.
     #[test]
     fn entry_round_trips(entry in arb_entry()) {

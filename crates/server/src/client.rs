@@ -1,11 +1,8 @@
-//! A small blocking client for the service, used by the `repro` CLI's
-//! `submit`, `merge` and `fleet` verbs, by the fleet runner's protocol
-//! side, and by the smoke tests.
+//! A small blocking client for the server, used by the `repro` CLI's
+//! `submit`, `merge`, `correlate`, `predict` and `fleet` verbs, by the
+//! fleet runner's protocol side, and by the tests.
 
-use crate::coordinator::FleetStatus;
-use crate::http::{
-    read_response, read_response_full, read_response_streaming, write_request, Response,
-};
+use crate::http::{read_response_streaming, write_request, Response};
 use crate::spec::CampaignSpec;
 use fault_inject::wire::fleet::{
     Ack, Complete, Fail, Heartbeat, LeaseReply, LeaseRequest, Register, Registered,
@@ -56,23 +53,39 @@ impl From<std::io::Error> for ClientError {
     }
 }
 
-/// The reply to a campaign submission.
+/// The reply to a campaign or correlation submission.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SubmitReply {
-    /// The job id to poll (or the cached job's id).
+    /// The job id to poll (or the id of the identical job submitted
+    /// earlier).
     pub id: u64,
-    /// Whether the result was served from the cache.
+    /// Whether the whole result was served from the store.
     pub cached: bool,
-    /// `"queued"`, or `"done"` on a cache hit.
+    /// `"queued"`, or the earlier job's status (`"done"` on a cache hit).
     pub status: String,
+}
+
+impl SubmitReply {
+    fn from_obj(v: &Json) -> Result<SubmitReply, ClientError> {
+        Ok(SubmitReply {
+            id: v
+                .get_u64("id")
+                .ok_or_else(|| ClientError::Protocol("submit reply missing `id`".to_string()))?,
+            cached: matches!(
+                (v.get_u64("cached"), v.get_u64("shards")),
+                (Some(cached), Some(shards)) if cached == shards
+            ),
+            status: v.get_str("status").unwrap_or("queued").to_string(),
+        })
+    }
 }
 
 /// The reply to a status poll.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StatusReply {
-    /// `"queued"`, `"running"`, `"done"`, `"failed"` or `"drained"`.
+    /// `"queued"`, `"running"`, `"done"`, `"degraded"` or `"failed"`.
     pub status: String,
-    /// The failure reason when `status == "failed"`.
+    /// The last failure reason when a slot was poisoned.
     pub error: Option<String>,
     /// The result when `status == "done"`.
     pub result: Option<ShardResult>,
@@ -90,9 +103,8 @@ pub fn request(
     path: &str,
     body: &str,
 ) -> Result<(u16, String), ClientError> {
-    let mut stream = TcpStream::connect(addr)?;
-    write_request(&mut stream, method, path, body)?;
-    Ok(read_response(&stream)?)
+    let response = request_full(addr, method, path, body)?;
+    Ok((response.status, response.body))
 }
 
 fn expect_200(addr: &str, method: &str, path: &str, body: &str) -> Result<Json, ClientError> {
@@ -110,14 +122,7 @@ fn expect_200(addr: &str, method: &str, path: &str, body: &str) -> Result<Json, 
 /// Fails on I/O errors, a refused spec (400), or a draining/full
 /// server (503).
 pub fn submit(addr: &str, spec: &CampaignSpec) -> Result<SubmitReply, ClientError> {
-    let v = expect_200(addr, "POST", "/campaign", &spec.to_json())?;
-    Ok(SubmitReply {
-        id: v
-            .get_u64("id")
-            .ok_or_else(|| ClientError::Protocol("submit reply missing `id`".to_string()))?,
-        cached: v.get_bool("cached").unwrap_or(false),
-        status: v.get_str("status").unwrap_or("queued").to_string(),
-    })
+    SubmitReply::from_obj(&expect_200(addr, "POST", "/campaign", &spec.to_json())?)
 }
 
 /// Poll one job's status.
@@ -146,7 +151,7 @@ pub fn status(addr: &str, id: u64) -> Result<StatusReply, ClientError> {
 /// # Errors
 ///
 /// Fails on I/O errors, or with [`ClientError::Protocol`] when the job
-/// ends `failed` or `drained`.
+/// ends `failed` or `degraded`.
 pub fn wait(addr: &str, id: u64) -> Result<ShardResult, ClientError> {
     loop {
         let reply = status(addr, id)?;
@@ -156,16 +161,12 @@ pub fn wait(addr: &str, id: u64) -> Result<ShardResult, ClientError> {
                     .result
                     .ok_or_else(|| ClientError::Protocol("done job carries no result".to_string()))
             }
-            "failed" => {
+            "failed" | "degraded" => {
                 return Err(ClientError::Protocol(format!(
-                    "campaign failed: {}",
+                    "campaign {}: {}",
+                    reply.status,
                     reply.error.as_deref().unwrap_or("unknown reason")
                 )))
-            }
-            "drained" => {
-                return Err(ClientError::Protocol(
-                    "campaign was drained before running".to_string(),
-                ))
             }
             _ => std::thread::sleep(Duration::from_millis(25)),
         }
@@ -197,44 +198,32 @@ pub fn merge(addr: &str, ids: &[u64]) -> Result<ShardResult, ClientError> {
 /// Fails on I/O errors, a refused spec (400), or a draining/full
 /// server (503).
 pub fn correlate(addr: &str, spec: &CorrelationSpec) -> Result<SubmitReply, ClientError> {
-    let v = expect_200(addr, "POST", "/correlate", &spec.to_json())?;
-    Ok(SubmitReply {
-        id: v
-            .get_u64("id")
-            .ok_or_else(|| ClientError::Protocol("correlate reply missing `id`".to_string()))?,
-        cached: v.get_bool("cached").unwrap_or(false),
-        status: v.get_str("status").unwrap_or("queued").to_string(),
-    })
+    SubmitReply::from_obj(&expect_200(addr, "POST", "/correlate", &spec.to_json())?)
 }
 
 /// Poll until a correlation sweep is `done`, returning its fitted report.
 ///
 /// # Errors
 ///
-/// Fails on I/O errors, a failed or drained job, or a job that is not an
-/// unsharded correlation sweep.
+/// Fails on I/O errors, a failed job, or a job that is not an unsharded
+/// correlation sweep.
 pub fn wait_report(addr: &str, id: u64) -> Result<CorrelationReport, ClientError> {
     loop {
         let v = expect_200(addr, "GET", &format!("/campaign/{id}"), "")?;
         match v.get_str("status").unwrap_or_default() {
+            "queued" | "running" => std::thread::sleep(Duration::from_millis(25)),
             "done" => {
                 let report = v.get("report").ok_or_else(|| {
                     ClientError::Protocol("done job carries no report".to_string())
                 })?;
                 return CorrelationReport::from_obj(report).map_err(ClientError::Protocol);
             }
-            "failed" => {
+            status => {
                 return Err(ClientError::Protocol(format!(
-                    "correlation sweep failed: {}",
+                    "correlation sweep {status}: {}",
                     v.get_str("error").unwrap_or("unknown reason")
                 )))
             }
-            "drained" => {
-                return Err(ClientError::Protocol(
-                    "correlation sweep was drained before running".to_string(),
-                ))
-            }
-            _ => std::thread::sleep(Duration::from_millis(25)),
         }
     }
 }
@@ -296,7 +285,7 @@ pub fn request_full(
 ) -> Result<Response, ClientError> {
     let mut stream = TcpStream::connect(addr)?;
     write_request(&mut stream, method, path, body)?;
-    Ok(read_response_full(&stream)?)
+    Ok(read_response_streaming(&stream, &mut |_| {})?)
 }
 
 /// The reply to a fleet campaign submission.
@@ -311,20 +300,18 @@ pub struct FleetSubmitReply {
     pub cached: u64,
 }
 
-/// Submit a campaign to the coordinator, cut into `shards` shards.
+/// Submit a campaign to the server, cut into `shards` shards.
 ///
 /// # Errors
 ///
 /// Fails on I/O errors, a refused spec (400), or a full/draining
-/// coordinator (503 — see [`request_full`] for its `Retry-After`).
+/// server (503 — see [`request_full`] for its `Retry-After`).
 pub fn fleet_submit(
     addr: &str,
     spec: &CampaignSpec,
     shards: u32,
 ) -> Result<FleetSubmitReply, ClientError> {
-    let json = spec.to_json();
-    let body = format!("{},\"shards\":{shards}}}", &json[..json.len() - 1]);
-    let v = expect_200(addr, "POST", "/fleet", &body)?;
+    let v = expect_200(addr, "POST", "/fleet", &spec.to_fleet_json(shards))?;
     Ok(FleetSubmitReply {
         id: v
             .get_u64("id")
@@ -332,6 +319,54 @@ pub fn fleet_submit(
         status: v.get_str("status").unwrap_or("queued").to_string(),
         cached: v.get_u64("cached").unwrap_or(0),
     })
+}
+
+/// One job's externally visible progress, as served by
+/// `GET /campaign/{id}`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FleetStatus {
+    /// The job id.
+    pub id: u64,
+    /// `"queued"`, `"running"`, `"done"`, `"degraded"` or `"failed"`.
+    pub status: String,
+    /// Slots finished (store-prefilled ones included).
+    pub done: u32,
+    /// The slot count.
+    pub total: u32,
+    /// Poisoned slot indices (non-empty exactly when degraded or failed).
+    pub missing: Vec<u32>,
+    /// The merged unsharded result, present when `status == "done"`.
+    pub campaign: Option<ShardResult>,
+}
+
+impl FleetStatus {
+    /// Parse from an already-parsed status object.
+    ///
+    /// # Errors
+    ///
+    /// Fails with a human-readable reason on a missing or mistyped field.
+    pub fn from_obj(v: &Json) -> Result<FleetStatus, String> {
+        let index = |item: &Json| item.as_u64().and_then(|n| u32::try_from(n).ok());
+        let field = |key: &str| v.get_u64(key).and_then(|n| u32::try_from(n).ok());
+        let missing = match v.get_array("missing") {
+            None => Vec::new(),
+            Some(items) => items
+                .iter()
+                .map(|item| index(item).ok_or("`missing` items must be shard indices"))
+                .collect::<Result<Vec<u32>, &str>>()?,
+        };
+        Ok(FleetStatus {
+            id: v.get_u64("id").ok_or("missing `id`")?,
+            status: v.get_str("status").ok_or("missing `status`")?.to_string(),
+            done: field("done").ok_or("missing `done`")?,
+            total: field("total").ok_or("missing `total`")?,
+            missing,
+            campaign: match v.get("campaign") {
+                Some(obj) => Some(ShardResult::from_obj(obj)?),
+                None => None,
+            },
+        })
+    }
 }
 
 /// Poll one fleet campaign's progress.
@@ -344,7 +379,8 @@ pub fn fleet_status(addr: &str, id: u64) -> Result<FleetStatus, ClientError> {
     FleetStatus::from_obj(&v).map_err(ClientError::Protocol)
 }
 
-/// Poll until a fleet campaign is terminal (`done` or `degraded`).
+/// Poll until a fleet campaign is terminal (`done`, `degraded` or
+/// `failed`).
 ///
 /// # Errors
 ///
@@ -360,7 +396,7 @@ pub fn fleet_wait(addr: &str, id: u64) -> Result<FleetStatus, ClientError> {
 }
 
 /// Watch one fleet campaign over the chunked progress stream, invoking
-/// `on_line` with each progress line as the coordinator emits it, until
+/// `on_line` with each progress line as the server emits it, until
 /// the campaign is terminal. Returns the final status (the stream's last
 /// line).
 ///
@@ -410,7 +446,7 @@ pub fn fleet_shard(addr: &str, id: u64, shard: u32) -> Result<ShardResult, Clien
     ShardResult::from_obj(&v).map_err(ClientError::Protocol)
 }
 
-/// Register a runner with the coordinator.
+/// Register a runner with the server.
 ///
 /// # Errors
 ///
@@ -425,7 +461,7 @@ pub fn fleet_register(addr: &str, name: &str, threads: usize) -> Result<Register
     Registered::from_obj(&v).map_err(ClientError::Protocol)
 }
 
-/// Ask the coordinator for a shard lease.
+/// Ask the server for a shard lease.
 ///
 /// # Errors
 ///

@@ -217,25 +217,6 @@ impl Response {
     }
 }
 
-/// Read one response off a client stream, returning `(status, body)`.
-///
-/// # Errors
-///
-/// Fails on I/O errors or a malformed status line / `Content-Length`.
-pub fn read_response(stream: &TcpStream) -> std::io::Result<(u16, String)> {
-    let response = read_response_streaming(stream, &mut |_| {})?;
-    Ok((response.status, response.body))
-}
-
-/// Read one full response off a client stream, headers included.
-///
-/// # Errors
-///
-/// As [`read_response`].
-pub fn read_response_full(stream: &TcpStream) -> std::io::Result<Response> {
-    read_response_streaming(stream, &mut |_| {})
-}
-
 /// Read one response, invoking `on_chunk` with each transfer chunk as it
 /// arrives (for fixed-length and read-to-close bodies, `on_chunk` fires
 /// once with the whole body). The returned [`Response`] still carries the
@@ -243,7 +224,8 @@ pub fn read_response_full(stream: &TcpStream) -> std::io::Result<Response> {
 ///
 /// # Errors
 ///
-/// As [`read_response`], plus malformed chunk framing.
+/// Fails on I/O errors, a malformed status line, `Content-Length` or
+/// chunk framing.
 pub fn read_response_streaming(
     stream: &TcpStream,
     on_chunk: &mut dyn FnMut(&str),

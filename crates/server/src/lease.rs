@@ -1,7 +1,8 @@
-//! The coordinator's shard lease table: the state machine that makes a
-//! fleet survive dying runners.
+//! The server's lease table — its only queue, and the state machine that
+//! makes a fleet survive dying runners.
 //!
-//! Every shard of every fleet campaign is one slot walking
+//! Every slot of every job (a campaign shard, a fleet shard, a
+//! correlation sweep) walks
 //!
 //! ```text
 //! queued ──acquire──▶ leased ──complete──▶ done
@@ -11,16 +12,18 @@
 //!                       └ attempts ≥ max_attempts ──▶ poisoned
 //! ```
 //!
-//! A lease is wall-clock bounded: the holder renews it by heartbeat, and
-//! [`LeaseTable::reap`] expires any lease not renewed within the TTL —
-//! covering runners that vanish without reporting. An explicit
+//! A remote runner's lease is wall-clock bounded: the holder renews it by
+//! heartbeat, and [`LeaseTable::reap`] expires any lease not renewed
+//! within the TTL — covering runners that vanish without reporting. An
+//! in-process worker's lease ([`LeaseTable::acquire_local`]) never
+//! expires: the worker cannot vanish without the server. An explicit
 //! [`LeaseTable::fail`] re-queues immediately (with backoff) and may
 //! carry the holder's partial journal, which the next holder receives in
 //! its grant so completed jobs are never re-simulated.
 //!
 //! The table is pure state + an injected clock (milliseconds since an
-//! arbitrary epoch): no threads, no I/O, no `Instant`. The coordinator
-//! drives it under its mutex; the unit tests drive it with a fake clock.
+//! arbitrary epoch): no threads, no I/O, no `Instant`. The server drives
+//! it under its mutex; the unit tests drive it with a fake clock.
 
 /// Retry/backoff policy for one table.
 #[derive(Debug, Clone, Copy)]
@@ -47,12 +50,12 @@ impl Default for LeasePolicy {
     }
 }
 
-/// Names one shard of one fleet campaign.
+/// Names one slot of one job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ShardKey {
-    /// The coordinator's campaign id.
+    /// The server's job id.
     pub campaign: u64,
-    /// The shard index within that campaign's geometry.
+    /// The slot index within that job.
     pub shard: u32,
 }
 
@@ -61,12 +64,9 @@ pub struct ShardKey {
 enum Phase {
     /// Waiting for a runner; not leasable before `not_before`.
     Queued { not_before: u64 },
-    /// Held by a runner under a live lease.
-    Leased {
-        lease: u64,
-        runner: u64,
-        expires: u64,
-    },
+    /// Held under a live lease; `expires` is `None` for an in-process
+    /// worker's lease.
+    Leased { lease: u64, expires: Option<u64> },
     /// Completed; the result lives in the store.
     Done,
     /// Burned through every allowed lease; the campaign completes
@@ -172,8 +172,19 @@ impl LeaseTable {
     }
 
     /// Lease the first shard whose backoff has elapsed, FIFO by
-    /// enqueue order. `None` when nothing is leasable right now.
-    pub fn acquire(&mut self, now: u64, runner: u64) -> Option<Granted> {
+    /// enqueue order, to a remote runner (the lease expires unless
+    /// renewed). `None` when nothing is leasable right now.
+    pub fn acquire(&mut self, now: u64) -> Option<Granted> {
+        self.grant(now, Some(now + self.policy.ttl_ms))
+    }
+
+    /// [`LeaseTable::acquire`] for an in-process worker: the lease never
+    /// expires, so [`LeaseTable::reap`] never takes the slot back.
+    pub fn acquire_local(&mut self, now: u64) -> Option<Granted> {
+        self.grant(now, None)
+    }
+
+    fn grant(&mut self, now: u64, expires: Option<u64>) -> Option<Granted> {
         let slot = self
             .slots
             .iter_mut()
@@ -183,8 +194,7 @@ impl LeaseTable {
         slot.attempts += 1;
         slot.phase = Phase::Leased {
             lease: lease_id,
-            runner,
-            expires: now + self.policy.ttl_ms,
+            expires,
         };
         self.counters.granted += 1;
         Some(Granted {
@@ -204,11 +214,18 @@ impl LeaseTable {
                 let Phase::Leased { expires, .. } = &mut slot.phase else {
                     unreachable!("slot_by_lease only returns leased slots");
                 };
-                *expires = now + ttl;
+                if expires.is_some() {
+                    *expires = Some(now + ttl);
+                }
                 true
             }
             None => false,
         }
+    }
+
+    /// The slot a live lease covers, without changing it.
+    pub fn leased_key(&mut self, lease_id: u64) -> Option<ShardKey> {
+        self.slot_by_lease(lease_id).map(|slot| slot.key)
     }
 
     /// Complete a lease. Returns the shard key when the lease was still
@@ -248,9 +265,9 @@ impl LeaseTable {
             .slots
             .iter()
             .enumerate()
-            .filter(
-                |(_, slot)| matches!(slot.phase, Phase::Leased { expires, .. } if expires <= now),
-            )
+            .filter(|(_, slot)| {
+                matches!(slot.phase, Phase::Leased { expires: Some(t), .. } if t <= now)
+            })
             .map(|(i, _)| i)
             .collect();
         expired
@@ -287,8 +304,18 @@ impl LeaseTable {
 
     /// The instantaneous phase counts.
     pub fn snapshot(&self) -> LeaseSnapshot {
+        self.count(|_| true)
+    }
+
+    /// The phase counts of one job's slots — the job is terminal when
+    /// `done + poisoned` covers every slot.
+    pub fn campaign_snapshot(&self, campaign: u64) -> LeaseSnapshot {
+        self.count(|key| key.campaign == campaign)
+    }
+
+    fn count(&self, filter: impl Fn(&ShardKey) -> bool) -> LeaseSnapshot {
         let mut snapshot = LeaseSnapshot::default();
-        for slot in &self.slots {
+        for slot in self.slots.iter().filter(|slot| filter(&slot.key)) {
             match slot.phase {
                 Phase::Queued { .. } => snapshot.queued += 1,
                 Phase::Leased { .. } => snapshot.leased += 1,
@@ -297,26 +324,6 @@ impl LeaseTable {
             }
         }
         snapshot
-    }
-
-    /// Phase of one campaign's shards: `(done, poisoned, total)` — the
-    /// campaign is terminal when `done + poisoned == total`.
-    pub fn campaign_progress(&self, campaign: u64) -> (u32, u32, u32) {
-        let mut done = 0;
-        let mut poisoned = 0;
-        let mut total = 0;
-        for slot in &self.slots {
-            if slot.key.campaign != campaign {
-                continue;
-            }
-            total += 1;
-            match slot.phase {
-                Phase::Done => done += 1,
-                Phase::Poisoned => poisoned += 1,
-                _ => {}
-            }
-        }
-        (done, poisoned, total)
     }
 
     /// The poisoned shard indices of one campaign, ascending.
@@ -329,14 +336,6 @@ impl LeaseTable {
             .collect();
         missing.sort_unstable();
         missing
-    }
-
-    /// How many attempts a shard has consumed (0 if unknown).
-    pub fn attempts(&self, key: ShardKey) -> u64 {
-        self.slots
-            .iter()
-            .find(|slot| slot.key == key)
-            .map_or(0, |slot| slot.attempts)
     }
 
     fn slot_by_lease(&mut self, lease_id: u64) -> Option<&mut Slot> {
@@ -376,6 +375,16 @@ mod tests {
         ShardKey { campaign, shard }
     }
 
+    /// `(done, poisoned, total)` of one job.
+    fn progress(table: &LeaseTable, campaign: u64) -> (u64, u64, u64) {
+        let s = table.campaign_snapshot(campaign);
+        (
+            s.done,
+            s.poisoned,
+            s.queued + s.leased + s.done + s.poisoned,
+        )
+    }
+
     fn policy() -> LeasePolicy {
         LeasePolicy {
             ttl_ms: 100,
@@ -391,17 +400,17 @@ mod tests {
         table.enqueue(key(1, 0));
         table.enqueue(key(1, 1));
         table.enqueue(key(1, 0)); // idempotent
-        let a = table.acquire(0, 7).unwrap();
+        let a = table.acquire(0).unwrap();
         assert_eq!((a.key, a.attempt, a.journal), (key(1, 0), 1, None));
-        let b = table.acquire(0, 8).unwrap();
+        let b = table.acquire(0).unwrap();
         assert_eq!(b.key, key(1, 1));
-        assert!(table.acquire(0, 9).is_none());
+        assert!(table.acquire(0).is_none());
         assert_eq!(table.complete(a.lease_id), Some(key(1, 0)));
         // Completing again is stale.
         assert_eq!(table.complete(a.lease_id), None);
-        assert_eq!(table.campaign_progress(1), (1, 0, 2));
+        assert_eq!(progress(&table, 1), (1, 0, 2));
         assert_eq!(table.complete(b.lease_id), Some(key(1, 1)));
-        assert_eq!(table.campaign_progress(1), (2, 0, 2));
+        assert_eq!(progress(&table, 1), (2, 0, 2));
         assert_eq!(table.counters().completed, 2);
         assert_eq!(table.snapshot().done, 2);
     }
@@ -410,7 +419,7 @@ mod tests {
     fn heartbeat_extends_and_reap_expires() {
         let mut table = LeaseTable::new(policy());
         table.enqueue(key(1, 0));
-        let grant = table.acquire(0, 7).unwrap();
+        let grant = table.acquire(0).unwrap();
         // Renewed at 90: survives the reap at 150.
         assert!(table.heartbeat(90, grant.lease_id));
         assert!(table.reap(150).is_empty());
@@ -423,8 +432,8 @@ mod tests {
         assert!(!table.heartbeat(191, grant.lease_id));
         assert_eq!(table.complete(grant.lease_id), None);
         // Backoff: attempt 1 failed → not leasable for backoff_base_ms.
-        assert!(table.acquire(195, 8).is_none());
-        let again = table.acquire(200, 8).unwrap();
+        assert!(table.acquire(195).is_none());
+        let again = table.acquire(200).unwrap();
         assert_eq!(again.attempt, 2);
     }
 
@@ -432,20 +441,20 @@ mod tests {
     fn fail_uploads_journal_for_next_holder() {
         let mut table = LeaseTable::new(policy());
         table.enqueue(key(1, 0));
-        let first = table.acquire(0, 7).unwrap();
+        let first = table.acquire(0).unwrap();
         assert_eq!(
             table.fail(50, first.lease_id, Some("partial journal".to_string())),
             Some(Requeued::Retrying)
         );
         // Stale fail is ignored.
         assert_eq!(table.fail(50, first.lease_id, None), None);
-        let second = table.acquire(60, 8).unwrap();
+        let second = table.acquire(60).unwrap();
         assert_eq!(second.attempt, 2);
         assert_eq!(second.journal.as_deref(), Some("partial journal"));
         // An expiry without an upload keeps the previous journal.
         let reaped = table.reap(200);
         assert_eq!(reaped.len(), 1);
-        let third = table.acquire(300, 9).unwrap();
+        let third = table.acquire(300).unwrap();
         assert_eq!(third.attempt, 3);
         assert_eq!(third.journal.as_deref(), Some("partial journal"));
         // Completion clears it.
@@ -459,7 +468,7 @@ mod tests {
         let mut now = 0;
         for attempt in 1..=2 {
             now += 1000;
-            let grant = table.acquire(now, 7).unwrap();
+            let grant = table.acquire(now).unwrap();
             assert_eq!(grant.attempt, attempt);
             assert_eq!(
                 table.fail(now, grant.lease_id, None),
@@ -467,14 +476,14 @@ mod tests {
             );
         }
         now += 1000;
-        let last = table.acquire(now, 7).unwrap();
+        let last = table.acquire(now).unwrap();
         assert_eq!(last.attempt, 3);
         assert_eq!(
             table.fail(now, last.lease_id, None),
             Some(Requeued::Poisoned)
         );
-        assert!(table.acquire(now + 10_000, 7).is_none());
-        assert_eq!(table.campaign_progress(3), (0, 1, 1));
+        assert!(table.acquire(now + 10_000).is_none());
+        assert_eq!(progress(&table, 3), (0, 1, 1));
         assert_eq!(table.poisoned_shards(3), vec![2]);
         assert_eq!(table.counters().poisoned, 1);
     }
@@ -489,9 +498,9 @@ mod tests {
         let mut now = 0;
         // Backoffs: 10, 20, 35 (capped), 35 …
         for expected in [10u64, 20, 35, 35] {
-            let grant = table.acquire(now, 1).unwrap();
+            let grant = table.acquire(now).unwrap();
             table.fail(now, grant.lease_id, None);
-            assert!(table.acquire(now + expected - 1, 1).is_none());
+            assert!(table.acquire(now + expected - 1).is_none());
             now += expected;
         }
     }
@@ -502,9 +511,9 @@ mod tests {
         for shard in 0..4 {
             table.enqueue(key(1, shard));
         }
-        let done = table.acquire(0, 7).unwrap();
+        let done = table.acquire(0).unwrap();
         table.complete(done.lease_id);
-        let _held = table.acquire(0, 8).unwrap();
+        let _held = table.acquire(0).unwrap();
         let drained = table.drain();
         // Shard 0 completed; 1 (leased) and 2, 3 (queued) drain.
         assert_eq!(drained, vec![key(1, 1), key(1, 2), key(1, 3)]);

@@ -1,70 +1,60 @@
-//! `verifd` — the campaign service.
+//! `verifd` — the campaign server.
 //!
-//! Every capability of the workspace so far runs as a one-shot CLI
-//! process: each invocation re-derives the golden run and re-simulates
-//! campaigns other callers already paid for. `verifd` turns the campaign
-//! engine into a resident service:
+//! Every capability of the workspace runs as a one-shot CLI process too,
+//! but each invocation re-derives the golden run and re-simulates
+//! campaigns other callers already paid for. `verifd` makes the campaign
+//! engine a resident service, on one node or across a fleet, behind one
+//! [`Server`]:
 //!
 //! * a **request layer** ([`http`]) — hand-rolled HTTP/1.1 over
-//!   `std::net::TcpListener`, speaking the journal's hand-rolled JSON
-//!   dialect ([`fault_inject::wire`]); no registry dependencies;
-//! * a **scheduler** ([`service`]) — a bounded FIFO queue feeding a fixed
-//!   worker pool, each worker running `Campaign::try_run` with the
-//!   engine's own panic isolation, plus graceful shutdown that finishes
-//!   in-flight jobs and journals the queued rest to a drain file;
-//! * a **result cache** — keyed by [`fault_inject::Campaign::fingerprint`]
-//!   (plus shard coordinates and the deadline, which the fingerprint
-//!   deliberately excludes), so a repeated spec returns the bit-identical
-//!   [`fault_inject::CampaignResult`] without simulating a cycle;
-//! * **sharding** — a [`spec::CampaignSpec`] may carry `shard i/n`,
-//!   partitioning the job list deterministically across processes, and
-//!   the `/merge` endpoint recombines shard results bit-for-bit via
-//!   [`fault_inject::merge_shards`].
+//!   `std::net::TcpListener` with per-socket timeouts, speaking the
+//!   journal's hand-rolled JSON dialect ([`fault_inject::wire`]); no
+//!   registry dependencies;
+//! * the **server** ([`server`]) — one accept loop and router for every
+//!   route: `/campaign` (one slot, or slot `i/n` of a sharded spec),
+//!   `/fleet` (one spec cut into `n` slots), `/correlate` (a Fig. 7
+//!   sweep), `/predict` (a fitted model, zero simulated cycles),
+//!   `/merge`, the runner protocol, `/campaign/{id}?watch`, `/stats` and
+//!   a graceful `/shutdown` that drains incomplete jobs to a file the
+//!   next startup re-submits;
+//! * one **queue**, the pure [`lease`] table — queued → leased →
+//!   retrying → done | poisoned, driven by an injected clock so every
+//!   transition is unit-testable without I/O. In-process workers lease
+//!   from it directly (their leases never expire); remote runners lease
+//!   under wall-clock TTLs with capped exponential backoff, and a slot
+//!   that burns `max_attempts` leases is poisoned, so its job ends
+//!   **degraded**, naming the missing slots;
+//! * one **result cache**, the content-addressed [`store`] — one result
+//!   per `fingerprint + shard geometry + deadline`, in memory or in a
+//!   directory that survives restarts, so a repeated spec returns
+//!   bit-identical bytes without simulating a cycle, whichever node or
+//!   runner first computed it;
+//! * one **job function**, [`spec::execute`], run by in-process workers
+//!   (through a golden-run cache shared across specs) and by the fleet
+//!   [`runner`] (journaled: a failed lease uploads its partial journal,
+//!   so the next holder resumes instead of re-simulating; a `--chaos`
+//!   seed arms a deterministic lease-fault injector for tests).
 //!
-//! On top of the single-process service sits the **fleet** — horizontal
-//! scale with the same bit-identical guarantees:
-//!
-//! * a **coordinator** ([`coordinator`]) — accepts fleet submissions
-//!   (`POST /fleet` cuts one spec into `n` shards), leases shards to
-//!   registered runners under wall-clock TTLs, re-queues expired or
-//!   failed leases with capped exponential backoff, poisons a shard
-//!   after `max_attempts` leases (the campaign then completes
-//!   **degraded**, naming its missing shards), answers `503` +
-//!   `Retry-After` when the queue is full, streams chunked progress on
-//!   `GET /campaign/{id}?watch`, and drains incomplete campaigns to a
-//!   file on shutdown that the next startup re-enqueues;
-//! * a pure **lease table** ([`lease`]) — the queued → leased →
-//!   retrying → done | poisoned state machine, driven by an injected
-//!   clock so every transition is unit-testable without I/O;
-//! * a **runner** ([`runner`]) — registers, leases, heartbeats, and
-//!   executes shards with a local write-ahead journal; on failure it
-//!   uploads the partial journal so the shard's next lease resumes
-//!   instead of re-simulating, and a `--chaos` seed arms a
-//!   deterministic lease-fault injector (crash/stall/vanish) for tests;
-//! * a persistent **shard store** ([`store`]) — one file per
-//!   `fingerprint + shard geometry + deadline`, deduplicating completed
-//!   shards fleet-wide and surviving coordinator restarts.
-//!
-//! The `repro` CLI gains `serve`, `submit`, `merge` and `fleet` verbs
-//! built on [`client`]; the `verifd` binary grows `coordinator` and
-//! `runner` modes.
+//! Shard results merge bit-for-bit via [`fault_inject::merge_shards`] and
+//! [`fault_inject::merge_correlation_shards`]. The `repro` CLI's `serve`,
+//! `submit`, `merge`, `correlate`, `predict` and `fleet` verbs are built
+//! on [`client`]; the `verifd` binary and `repro` share the flag parsers
+//! [`ServerConfig::from_args`] and [`RunnerConfig::from_args`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod client;
-pub mod coordinator;
 pub mod http;
 pub mod lease;
 pub mod runner;
-pub mod service;
+pub mod server;
 pub mod spec;
 pub mod store;
 
-pub use client::{ClientError, StatusReply, SubmitReply};
-pub use coordinator::{Coordinator, CoordinatorConfig, FleetStatus};
+pub use client::{ClientError, FleetStatus, StatusReply, SubmitReply};
 pub use lease::{LeaseCounters, LeasePolicy, LeaseSnapshot, LeaseTable, ShardKey};
-pub use runner::{Runner, RunnerConfig};
-pub use service::{Server, ServerConfig};
-pub use spec::CampaignSpec;
+pub use runner::{Runner, RunnerConfig, RUNNER_FLAGS};
+pub use server::{Coordinator, CoordinatorConfig, Server, ServerConfig, SERVER_FLAGS};
+pub use spec::{CampaignSpec, JobSpec};
 pub use store::ResultStore;

@@ -1,14 +1,15 @@
-//! The fleet runner: the process that actually simulates shards.
+//! The fleet runner: a process that simulates slots for a remote server.
 //!
-//! A runner registers with the coordinator, then loops pulling shard
-//! leases. Every shard runs **journaled** to a local write-ahead file;
-//! on failure the partial journal is uploaded with the failure report,
-//! so the shard's next lease holder resumes from the last
-//! torn-line-recovered record instead of re-simulating from zero. A
-//! dedicated heartbeat thread renews the active lease; when the
-//! coordinator answers a heartbeat, completion or failure with
-//! `ok:false`, the lease is gone (expired and re-queued) and the runner
-//! discards its local state for it.
+//! A runner registers with the server, then loops pulling slot leases
+//! and running each through [`crate::spec::execute`] — the same job
+//! function the server's in-process workers run. Every campaign of a
+//! slot runs **journaled** to a local write-ahead file; on failure the
+//! partial journal is uploaded with the failure report, so the slot's
+//! next lease holder resumes from the last torn-line-recovered record
+//! instead of re-simulating from zero. A dedicated heartbeat thread
+//! renews the active lease; when the server answers a heartbeat,
+//! completion or failure with `ok:false`, the lease is gone (expired and
+//! re-queued) and the runner discards its local state for it.
 //!
 //! The `chaos` knob arms a deterministic fault injector **around** the
 //! engine (a per-lease schedule drawn from the seed): leases randomly
@@ -18,12 +19,12 @@
 //! *wrong* results — only retried or, at worst, poisoned shards.
 
 use crate::client::{self, ClientError};
-use crate::spec::CampaignSpec;
+use crate::server::number;
+use crate::spec::{execute, JobSpec};
 use analysis::SplitMix64;
-use fault_inject::wire::fleet::{Ack, Complete, LeaseGrant, LeaseReply, Registered};
-use fault_inject::wire::ShardResult;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
+use fault_inject::wire::fleet::{Ack, Complete, JobOutput, LeaseGrant, LeaseReply, Registered};
+use fault_inject::Campaign;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -58,6 +59,40 @@ impl Default for RunnerConfig {
             chaos: None,
             hold_ms: 0,
         }
+    }
+}
+
+/// The runner's command-line flags, as every usage text prints them.
+pub const RUNNER_FLAGS: &str =
+    "[--addr HOST:PORT] [--name NAME] [--job-threads N] [--workdir PATH] [--chaos SEED]";
+
+impl RunnerConfig {
+    /// Apply [`RUNNER_FLAGS`] on top of [`RunnerConfig::default`] — the
+    /// one runner flag parser, shared by `verifd runner` and
+    /// `repro fleet run`.
+    ///
+    /// # Errors
+    ///
+    /// Names the unknown flag, the flag missing its value, or the value
+    /// that does not parse.
+    pub fn from_args(args: &[String]) -> Result<RunnerConfig, String> {
+        let mut config = RunnerConfig::default();
+        let mut it = args.iter();
+        while let Some(flag) = it.next() {
+            let value = it.next().ok_or_else(|| format!("`{flag}` needs a value"))?;
+            match flag.as_str() {
+                "--addr" => config.coordinator.clone_from(value),
+                "--name" => config.name.clone_from(value),
+                "--job-threads" => config.job_threads = number(flag, value)?,
+                "--workdir" => config.workdir = PathBuf::from(value),
+                "--chaos" => config.chaos = Some(number(flag, value)?),
+                other => return Err(format!("unknown runner flag `{other}`")),
+            }
+        }
+        if config.job_threads == 0 {
+            return Err("`--job-threads` must be at least 1".to_string());
+        }
+        Ok(config)
     }
 }
 
@@ -328,7 +363,7 @@ fn run_lease(config: &RunnerConfig, registered: Registered, flags: &Flags, grant
         let _ = std::fs::remove_file(&journal_path);
         return;
     }
-    let outcome = execute_shard(config, flags, &grant, &journal_path);
+    let outcome = execute_lease(config, &grant, &journal_path);
     if flags.killed.load(Ordering::SeqCst) {
         // Killed mid-lease: the result (if any) dies with us.
         return cleanup(flags);
@@ -349,17 +384,17 @@ fn run_lease(config: &RunnerConfig, registered: Registered, flags: &Flags, grant
                 journal.as_deref(),
             );
         }
-        (ChaosPlan::Stall, Ok(shard)) => {
+        (ChaosPlan::Stall, Ok(output)) => {
             // Outlive the lease with heartbeats suppressed, then try to
             // complete anyway: the coordinator must call it stale.
             flags.suppress_heartbeat.store(true, Ordering::SeqCst);
             let past_ttl = registered.lease_ms + 2 * registered.heartbeat_ms.max(1);
             if interruptible_sleep(flags, past_ttl) {
-                let _ = report_complete(config, registered, flags, &grant, shard);
+                let _ = report_complete(config, registered, flags, &grant, output);
             }
         }
-        (_, Ok(shard)) => {
-            let _ = report_complete(config, registered, flags, &grant, shard);
+        (_, Ok(output)) => {
+            let _ = report_complete(config, registered, flags, &grant, output);
         }
         (_, Err(error)) => {
             // A real failure (engine error or panic): report it with
@@ -382,7 +417,7 @@ fn report_complete(
     registered: Registered,
     flags: &Flags,
     grant: &LeaseGrant,
-    shard: ShardResult,
+    output: JobOutput,
 ) -> Result<Ack, ClientError> {
     if flags.killed.load(Ordering::SeqCst) {
         return Ok(Ack {
@@ -395,66 +430,36 @@ fn report_complete(
         &Complete {
             runner_id: registered.runner_id,
             lease_id: grant.lease_id,
-            shard,
+            output,
         },
     )
 }
 
-/// Run one leased shard journaled, resuming from an uploaded partial
-/// journal when the grant carries one. Panics are caught and stringified
-/// — a panicking workload must fail the lease, not the runner.
-fn execute_shard(
+/// Run one leased slot, every campaign journaled. A grant carrying a
+/// previous holder's partial journal resumes the campaign that journal
+/// belongs to; a journal no campaign of the slot accepts (corrupt past
+/// recovery) must not poison the slot, so those campaigns start fresh.
+fn execute_lease(
     config: &RunnerConfig,
-    _flags: &Flags,
     grant: &LeaseGrant,
-    journal_path: &std::path::Path,
-) -> Result<ShardResult, String> {
-    let spec = CampaignSpec::from_obj(&grant.spec)?;
+    journal_path: &Path,
+) -> Result<JobOutput, String> {
+    let spec = JobSpec::from_obj(&grant.spec)?;
     let threads = config.job_threads;
-    let path = journal_path.to_path_buf();
-    let _ = std::fs::remove_file(&path);
-    let prior = grant.journal.clone();
-    let run = catch_unwind(AssertUnwindSafe(move || {
-        let campaign = spec.to_campaign();
-        let fingerprint = campaign.fingerprint();
-        let (index, count) = spec.shard.unwrap_or((0, 1));
-        let result = match prior {
-            Some(text) => {
-                std::fs::write(&path, &text).map_err(|e| e.to_string())?;
-                match campaign.resume(threads, &path) {
-                    Ok(result) => result,
-                    // An unusable journal (wrong campaign, corrupt past
-                    // recovery) must not poison the shard: start fresh.
-                    Err(_) => {
-                        let _ = std::fs::remove_file(&path);
-                        campaign
-                            .run_journaled(threads, &path)
-                            .map_err(|e| e.to_string())?
-                    }
-                }
+    let mut prior = grant.journal.clone();
+    execute(&spec, &mut |campaign: &Campaign| {
+        if let Some(text) = &prior {
+            std::fs::write(journal_path, text).map_err(|e| e.to_string())?;
+            if let Ok(result) = campaign.resume(threads, journal_path) {
+                prior = None;
+                return Ok(result);
             }
-            None => campaign
-                .run_journaled(threads, &path)
-                .map_err(|e| e.to_string())?,
-        };
-        Ok(ShardResult {
-            fingerprint,
-            index,
-            count,
-            result,
-        })
-    }));
-    match run {
-        Ok(result) => result,
-        Err(payload) => {
-            let message = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_string());
-            Err(format!("shard panicked: {message}"))
         }
-    }
+        let _ = std::fs::remove_file(journal_path);
+        campaign
+            .run_journaled(threads, journal_path)
+            .map_err(|e| e.to_string())
+    })
 }
 
 /// Cut a journal the way a kill does: keep the header line, drop a tail,

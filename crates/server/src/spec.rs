@@ -1,12 +1,18 @@
-//! The campaign request: everything a client must say to name a
-//! campaign, and its canonical JSON form.
+//! The job request: everything a client must say to name a campaign or
+//! a correlation sweep, its canonical JSON form, and [`execute`] — the
+//! one job function in-process workers and remote runners both run.
 
+use fault_inject::wire::fleet::JobOutput;
 use fault_inject::wire::{
     escape_json, kind_from_token, kind_to_token, target_from_token, target_to_token, Json,
 };
-use fault_inject::{AttackTarget, Campaign, InjectionInstant, SafetyConfig, Target};
+use fault_inject::{
+    AttackTarget, Campaign, CampaignResult, CorrelationSpec, InjectionInstant, SafetyConfig,
+    ShardResult, Target,
+};
 use rtl_sim::FaultKind;
 use std::fmt::Write as _;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 use workloads::{Benchmark, Params};
 
@@ -147,6 +153,12 @@ impl CampaignSpec {
         s
     }
 
+    /// The `POST /fleet` body: this spec plus `"shards":n`.
+    pub fn to_fleet_json(&self, shards: u32) -> String {
+        let json = self.to_json();
+        format!("{},\"shards\":{shards}}}", &json[..json.len() - 1])
+    }
+
     /// Parse a spec from its JSON text.
     ///
     /// # Errors
@@ -272,22 +284,123 @@ impl CampaignSpec {
         self.to_campaign().fingerprint()
     }
 
-    /// The result-cache key. The fingerprint deliberately excludes the
-    /// shard coordinates (all shards of one campaign share it) and the
-    /// wall-clock deadline (it cannot change which jobs exist) — but both
-    /// *can* change the bytes of this spec's result, so the cache key
+    /// The result-store address of this spec's result (see
+    /// [`crate::store::address`]). The fingerprint deliberately excludes
+    /// the shard coordinates (all shards of one campaign share it) and
+    /// the wall-clock deadline (it cannot change which jobs exist) — but
+    /// both *can* change the bytes of this spec's result, so the address
     /// appends them. The unsharded campaign normalizes to shard `0/1`.
     pub fn cache_key(&self) -> String {
-        let (index, count) = self.shard.unwrap_or((0, 1));
-        let deadline = match self.deadline_ms {
-            Some(ms) => ms.to_string(),
-            None => "none".to_string(),
-        };
-        format!(
-            "{}|shard={index}/{count}|deadline={deadline}",
-            self.fingerprint()
+        crate::store::address(
+            &self.fingerprint(),
+            self.shard.unwrap_or((0, 1)),
+            self.deadline_ms,
         )
     }
+}
+
+/// What one job names: a campaign (possibly one shard of one) or a
+/// correlation sweep.
+#[derive(Debug, Clone, PartialEq)]
+pub enum JobSpec {
+    /// A campaign, as `POST /campaign` and `POST /fleet` take it.
+    Campaign(CampaignSpec),
+    /// A correlation sweep, as `POST /correlate` takes it.
+    Correlation(CorrelationSpec),
+}
+
+impl JobSpec {
+    /// Parse either kind from an already-parsed object: a correlation
+    /// sweep is the only shape with a `benchmarks` list.
+    ///
+    /// # Errors
+    ///
+    /// As [`CampaignSpec::from_obj`] and [`CorrelationSpec::from_obj`].
+    pub fn from_obj(v: &Json) -> Result<JobSpec, String> {
+        if v.get("benchmarks").is_some() {
+            CorrelationSpec::from_obj(v).map(JobSpec::Correlation)
+        } else {
+            CampaignSpec::from_obj(v).map(JobSpec::Campaign)
+        }
+    }
+
+    /// The canonical JSON form of the inner spec.
+    pub fn to_json(&self) -> String {
+        match self {
+            JobSpec::Campaign(spec) => spec.to_json(),
+            JobSpec::Correlation(spec) => spec.to_json(),
+        }
+    }
+
+    /// The shard-independent public fingerprint.
+    pub fn fingerprint(&self) -> String {
+        match self {
+            JobSpec::Campaign(spec) => spec.fingerprint(),
+            JobSpec::Correlation(spec) => spec.fingerprint(),
+        }
+    }
+
+    /// The shard coordinates, if any.
+    pub fn shard(&self) -> Option<(u32, u32)> {
+        match self {
+            JobSpec::Campaign(spec) => spec.shard,
+            JobSpec::Correlation(spec) => spec.shard,
+        }
+    }
+
+    /// The per-job deadline (campaigns only), part of every address.
+    pub fn deadline_ms(&self) -> Option<u64> {
+        match self {
+            JobSpec::Campaign(spec) => spec.deadline_ms,
+            JobSpec::Correlation(_) => None,
+        }
+    }
+
+    /// This spec cut to shard `index` of `count`.
+    #[must_use]
+    pub fn with_shard(&self, index: u32, count: u32) -> JobSpec {
+        let mut spec = self.clone();
+        match &mut spec {
+            JobSpec::Campaign(s) => s.shard = Some((index, count)),
+            JobSpec::Correlation(s) => s.shard = Some((index, count)),
+        }
+        spec
+    }
+}
+
+/// Run one job slot. `run` executes each campaign — an in-process worker
+/// through its golden-run cache, a runner journaled — and the output is
+/// byte-identical either way. Panics are caught and stringified: a
+/// panicking workload must fail the slot, not the thread running it.
+///
+/// # Errors
+///
+/// The first error `run` returns, or the panic message.
+pub fn execute(
+    spec: &JobSpec,
+    run: &mut dyn FnMut(&Campaign) -> Result<CampaignResult, String>,
+) -> Result<JobOutput, String> {
+    let outcome = catch_unwind(AssertUnwindSafe(|| match spec {
+        JobSpec::Campaign(spec) => {
+            let campaign = spec.to_campaign();
+            let (index, count) = spec.shard.unwrap_or((0, 1));
+            Ok(JobOutput::Campaign(ShardResult {
+                result: run(&campaign)?,
+                fingerprint: campaign.fingerprint(),
+                index,
+                count,
+            }))
+        }
+        JobSpec::Correlation(spec) => spec.run_with(run).map(JobOutput::Correlation),
+    }));
+    outcome.unwrap_or_else(|payload| {
+        let message = payload
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".to_string());
+        Err(format!("job panicked: {message}"))
+    })
 }
 
 #[cfg(test)]

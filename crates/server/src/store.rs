@@ -1,93 +1,125 @@
-//! The persistent content-addressed shard result store.
+//! The content-addressed result store: the server's only result cache.
 //!
-//! One file per completed shard, named by the campaign's public
-//! fingerprint plus the shard geometry and deadline — exactly the
-//! components of [`crate::spec::CampaignSpec::cache_key`]. Identity is
-//! the *address*: a shard simulated anywhere in the fleet lands at the
-//! same path, so a second campaign over the same spec (same fingerprint)
-//! is served from disk without simulating a cycle, and a duplicate
-//! upload is detected as a dedup hit instead of a second write.
+//! One output per completed slot, named by [`address`]: the
+//! job's public fingerprint plus the slot's shard geometry and deadline.
+//! Identity is the *address*: a slot computed anywhere — by an
+//! in-process worker or by any runner of the fleet — lands at the same
+//! address, so a second job over the same spec is served without
+//! simulating a cycle, and a duplicate upload is counted as a dedup hit
+//! instead of a second write.
 //!
-//! Writes are atomic (temp file + rename in the same directory), so a
-//! coordinator killed mid-write never leaves a torn result; a torn temp
-//! file is invisible to reads and overwritten by the retry.
+//! The store lives in memory, or — given a directory — in one canonical
+//! JSON file per address, surviving restarts. File writes are atomic (temp file +
+//! rename in the same directory), so a server killed mid-write never
+//! leaves a torn result; a torn temp file is invisible to reads and
+//! overwritten by the retry.
 
-use fault_inject::wire::ShardResult;
+use fault_inject::wire::fleet::JobOutput;
+use fault_inject::wire::Json;
+use std::borrow::Cow;
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
-/// The store: a directory of canonical `ShardResult` JSON files.
+/// The address of one slot's result. The deadline is part of it because
+/// it can change the bytes of a result without changing the
+/// fingerprint; the unsharded job is slot `0/1`.
+pub fn address(fingerprint: &str, (index, count): (u32, u32), deadline_ms: Option<u64>) -> String {
+    let deadline = deadline_ms.map_or_else(|| "none".to_string(), |ms| ms.to_string());
+    format!("{fingerprint}.{index}of{count}.d{deadline}")
+}
+
+/// The store: slot outputs by [`address`].
 pub struct ResultStore {
-    dir: PathBuf,
-    /// Files written by this process (dedup hits excluded).
+    /// `None`: results live in `memory`.
+    dir: Option<PathBuf>,
+    memory: HashMap<String, JobOutput>,
+    /// Results written by this process (dedup hits excluded).
     puts: u64,
     /// Writes skipped because the address already held a result.
     dedup_hits: u64,
 }
 
 impl ResultStore {
-    /// Open (creating if needed) the store directory.
+    /// Open a store: in memory for `None`, else in the directory
+    /// (created if needed).
     ///
     /// # Errors
     ///
     /// Fails if the directory cannot be created.
-    pub fn open(dir: &Path) -> std::io::Result<ResultStore> {
-        std::fs::create_dir_all(dir)?;
+    pub fn open(dir: Option<&Path>) -> std::io::Result<ResultStore> {
+        if let Some(dir) = dir {
+            std::fs::create_dir_all(dir)?;
+        }
         Ok(ResultStore {
-            dir: dir.to_path_buf(),
+            dir: dir.map(Path::to_path_buf),
+            memory: HashMap::new(),
             puts: 0,
             dedup_hits: 0,
         })
     }
 
-    /// The address of one shard result. The deadline is part of the
-    /// address for the same reason it is part of the cache key: it can
-    /// change the bytes of the result without changing the fingerprint.
-    fn path(&self, fingerprint: &str, index: u32, count: u32, deadline_ms: Option<u64>) -> PathBuf {
-        let deadline = match deadline_ms {
-            Some(ms) => format!("d{ms}"),
-            None => "dnone".to_string(),
-        };
-        self.dir
-            .join(format!("{fingerprint}.{index}of{count}.{deadline}.json"))
+    fn path(dir: &Path, address: &str) -> PathBuf {
+        dir.join(format!("{address}.json"))
     }
 
-    /// Store one shard result. Returns `false` (and writes nothing) when
-    /// the address already holds a result — the dedup hit the acceptance
-    /// criteria count.
+    /// Store one slot output. Returns `false` (and writes nothing) when
+    /// the address already holds a result — a dedup hit.
     ///
     /// # Errors
     ///
     /// Fails on I/O errors writing the temp file or renaming it.
-    pub fn put(&mut self, shard: &ShardResult, deadline_ms: Option<u64>) -> std::io::Result<bool> {
-        let path = self.path(&shard.fingerprint, shard.index, shard.count, deadline_ms);
-        if path.exists() {
+    pub fn put(&mut self, address: &str, output: JobOutput) -> std::io::Result<bool> {
+        let fresh = match &self.dir {
+            None => match self.memory.entry(address.to_string()) {
+                std::collections::hash_map::Entry::Occupied(_) => false,
+                std::collections::hash_map::Entry::Vacant(slot) => {
+                    slot.insert(output);
+                    true
+                }
+            },
+            Some(dir) => {
+                let path = ResultStore::path(dir, address);
+                let fresh = !path.exists();
+                if fresh {
+                    let tmp = path.with_extension("tmp");
+                    std::fs::write(&tmp, output.to_json())?;
+                    std::fs::rename(&tmp, &path)?;
+                }
+                fresh
+            }
+        };
+        if fresh {
+            self.puts += 1;
+        } else {
             self.dedup_hits += 1;
-            return Ok(false);
         }
-        let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, shard.to_json())?;
-        std::fs::rename(&tmp, &path)?;
-        self.puts += 1;
-        Ok(true)
+        Ok(fresh)
     }
 
-    /// Fetch one shard result, `None` when absent. A present-but-corrupt
-    /// file is also `None` — the caller re-simulates and the next put
+    /// Fetch one slot output, `None` when absent. A file that does not
+    /// parse is also `None` — the caller re-simulates and the next put
     /// refuses to overwrite it, so corruption is surfaced by the dedup
     /// counter staying suspiciously high rather than by wrong bytes.
-    pub fn get(
-        &self,
-        fingerprint: &str,
-        index: u32,
-        count: u32,
-        deadline_ms: Option<u64>,
-    ) -> Option<ShardResult> {
-        let path = self.path(fingerprint, index, count, deadline_ms);
-        let text = std::fs::read_to_string(path).ok()?;
-        ShardResult::parse(&text).ok()
+    pub fn get(&self, address: &str) -> Option<Cow<'_, JobOutput>> {
+        match &self.dir {
+            None => self.memory.get(address).map(Cow::Borrowed),
+            Some(dir) => {
+                let text = std::fs::read_to_string(ResultStore::path(dir, address)).ok()?;
+                let output = JobOutput::from_obj(&Json::parse(&text).ok()?).ok()?;
+                Some(Cow::Owned(output))
+            }
+        }
     }
 
-    /// Files written by this process.
+    /// Whether [`ResultStore::get`] would find a result.
+    pub fn contains(&self, address: &str) -> bool {
+        match &self.dir {
+            None => self.memory.contains_key(address),
+            Some(_) => self.get(address).is_some(),
+        }
+    }
+
+    /// Results written by this process.
     pub fn puts(&self) -> u64 {
         self.puts
     }
@@ -96,49 +128,25 @@ impl ResultStore {
     pub fn dedup_hits(&self) -> u64 {
         self.dedup_hits
     }
-
-    /// How many results the directory holds (any writer).
-    ///
-    /// # Errors
-    ///
-    /// Fails if the directory cannot be read.
-    pub fn len(&self) -> std::io::Result<u64> {
-        let mut n = 0;
-        for entry in std::fs::read_dir(&self.dir)? {
-            let entry = entry?;
-            if entry.path().extension().is_some_and(|ext| ext == "json") {
-                n += 1;
-            }
-        }
-        Ok(n)
-    }
-
-    /// Whether the directory holds no results.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the directory cannot be read.
-    pub fn is_empty(&self) -> std::io::Result<bool> {
-        Ok(self.len()? == 0)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fault_inject::wire::ShardResult;
     use fault_inject::{CampaignResult, CampaignStats};
 
-    fn shard(fingerprint: &str, index: u32, count: u32, cycles: u64) -> ShardResult {
+    fn output(cycles: u64) -> JobOutput {
         let stats = CampaignStats {
             cycles_simulated: cycles,
             ..CampaignStats::default()
         };
-        ShardResult {
-            fingerprint: fingerprint.to_string(),
-            index,
-            count,
+        JobOutput::Campaign(ShardResult {
+            fingerprint: "aa-bb".to_string(),
+            index: 0,
+            count: 2,
             result: CampaignResult::with_stats(Vec::new(), stats),
-        }
+        })
     }
 
     fn tempdir(tag: &str) -> PathBuf {
@@ -150,33 +158,35 @@ mod tests {
     #[test]
     fn put_get_round_trips_and_dedups() {
         let dir = tempdir("roundtrip");
-        let mut store = ResultStore::open(&dir).unwrap();
-        assert!(store.is_empty().unwrap());
-        let a = shard("aa-bb", 0, 2, 100);
-        assert!(store.put(&a, None).unwrap());
-        // Same address again: dedup hit, no second write.
-        assert!(!store.put(&a, None).unwrap());
-        assert_eq!((store.puts(), store.dedup_hits()), (1, 1));
-        assert_eq!(store.get("aa-bb", 0, 2, None), Some(a.clone()));
-        // Geometry and deadline are part of the address.
-        assert_eq!(store.get("aa-bb", 1, 2, None), None);
-        assert_eq!(store.get("aa-bb", 0, 2, Some(5)), None);
-        assert!(store.put(&shard("aa-bb", 1, 2, 50), None).unwrap());
-        assert!(store.put(&a, Some(5)).unwrap());
-        assert_eq!(store.len().unwrap(), 3);
-        // A fresh handle sees the persisted results (and dedups them).
-        let mut reopened = ResultStore::open(&dir).unwrap();
-        assert_eq!(reopened.get("aa-bb", 0, 2, None), Some(a.clone()));
-        assert!(!reopened.put(&a, None).unwrap());
+        let a = address("aa-bb", (0, 2), None);
+        for backing in [None, Some(dir.as_path())] {
+            let mut store = ResultStore::open(backing).unwrap();
+            assert!(!store.contains(&a));
+            assert!(store.put(&a, output(100)).unwrap());
+            // Same address again: dedup hit, no second write.
+            assert!(!store.put(&a, output(50)).unwrap());
+            assert_eq!((store.puts(), store.dedup_hits()), (1, 1));
+            assert_eq!(store.get(&a).unwrap().into_owned(), output(100));
+            // Geometry and deadline are part of the address.
+            assert_eq!(store.get(&address("aa-bb", (1, 2), None)), None);
+            assert_eq!(store.get(&address("aa-bb", (0, 2), Some(5))), None);
+        }
+        // A fresh handle on the directory sees the persisted result (and
+        // dedups it); a fresh memory store starts empty.
+        let mut reopened = ResultStore::open(Some(&dir)).unwrap();
+        assert_eq!(reopened.get(&a).unwrap().into_owned(), output(100));
+        assert!(!reopened.put(&a, output(7)).unwrap());
+        assert!(!ResultStore::open(None).unwrap().contains(&a));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn corrupt_files_read_as_absent() {
         let dir = tempdir("corrupt");
-        let store = ResultStore::open(&dir).unwrap();
+        let store = ResultStore::open(Some(&dir)).unwrap();
         std::fs::write(dir.join("xx.0of1.dnone.json"), "not json").unwrap();
-        assert_eq!(store.get("xx", 0, 1, None), None);
+        assert_eq!(store.get(&address("xx", (0, 1), None)), None);
+        assert!(!store.contains(&address("xx", (0, 1), None)));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,7 +1,7 @@
 //! Fleet end-to-end tests: a real coordinator and real runners on
 //! loopback, including the kill-recovery acceptance test.
 
-use fault_inject::{AttackTarget, InjectionInstant, Target};
+use fault_inject::{AttackTarget, CorrelationSpec, InjectionInstant, Target};
 use rtl_sim::FaultKind;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -311,12 +311,14 @@ fn uploaded_partial_journal_resumes_without_resimulating_finished_jobs() {
         &fault_inject::wire::fleet::Complete {
             runner_id: me.runner_id,
             lease_id: retry.lease_id,
-            shard: fault_inject::wire::ShardResult {
-                fingerprint: base.fingerprint(),
-                index: 0,
-                count: 1,
-                result: resumed,
-            },
+            output: fault_inject::wire::fleet::JobOutput::Campaign(
+                fault_inject::wire::ShardResult {
+                    fingerprint: base.fingerprint(),
+                    index: 0,
+                    count: 1,
+                    result: resumed,
+                },
+            ),
         },
     )
     .expect("complete");
@@ -532,5 +534,61 @@ fn progress_watch_streams_chunks_until_terminal() {
 
     runner.stop();
     coordinator.shutdown().expect("shutdown");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_fleet_fits_a_correlation_sweep() {
+    // No in-process workers: the one remote runner runs the sweep slot
+    // and uploads its correlation shard, which the server fits.
+    let dir = tempdir("correlate");
+    let coordinator = Coordinator::start(fast_config(&dir)).expect("bind coordinator");
+    let addr = coordinator.addr().to_string();
+    let mut sweep = CorrelationSpec::new();
+    sweep.benchmarks = vec![Benchmark::Membench, Benchmark::Intbench];
+    sweep.sample = Some((6, 0xc0ffee));
+
+    let reply = client::correlate(&addr, &sweep).expect("correlate");
+    assert_eq!(reply.status, "queued");
+    let runner = Runner::start(runner_config(&addr, &dir, "r")).expect("start runner");
+    let report = client::wait_report(&addr, reply.id).expect("fitted report");
+    let local = sweep.run_report(2).expect("local sweep");
+    assert_eq!(report.to_json(), local.to_json());
+    assert_eq!(stat(&addr, "leases_granted"), 1);
+    assert_eq!(stat(&addr, "models_cached"), 1);
+
+    runner.stop();
+    coordinator.shutdown().expect("shutdown");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn local_workers_and_a_remote_runner_share_one_fleet_campaign() {
+    let dir = tempdir("mixed");
+    let server = verifd::Server::start(verifd::ServerConfig {
+        workers: 1,
+        job_threads: 1,
+        lease_ttl_ms: 2_000,
+        heartbeat_ms: 50,
+        poll_ms: 25,
+        store_path: Some(dir.join("store")),
+        ..verifd::ServerConfig::default()
+    })
+    .expect("bind server");
+    let addr = server.addr().to_string();
+    let runner = Runner::start(runner_config(&addr, &dir, "r")).expect("start runner");
+    let base = small_spec();
+
+    let submitted = client::fleet_submit(&addr, &base, 4).expect("submit fleet");
+    let status = client::fleet_wait(&addr, submitted.id).expect("wait");
+    assert_eq!(status.status, "done");
+    let merged = status.campaign.expect("merged result");
+    let local = base.to_campaign().try_run(2).expect("local run");
+    assert_eq!(merged.result, local);
+    assert_eq!(stat(&addr, "shards_done"), 4);
+    assert_eq!(stat(&addr, "leases_granted"), 4);
+
+    runner.stop();
+    server.shutdown().expect("shutdown");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -367,3 +367,75 @@ fn bad_submissions_and_unknown_routes_are_refused() {
 
     server.shutdown().expect("shutdown");
 }
+
+#[test]
+fn deep_json_body_is_refused_and_the_server_survives() {
+    let (server, addr) = start(0, None);
+    // 200 KB of `[`: a recursive parser overflows its stack on this and
+    // takes the whole process down.
+    let body = "[".repeat(200_000);
+    for route in ["/campaign", "/fleet", "/correlate", "/merge", "/complete"] {
+        match client::request(&addr, "POST", route, &body) {
+            Ok((400, reply)) => assert!(reply.contains("nesting"), "{route}: {reply}"),
+            other => panic!("{route}: expected 400, got {other:?}"),
+        }
+    }
+    match client::request(&addr, "GET", "/healthz", "") {
+        Ok((200, _)) => {}
+        other => panic!("expected a live server, got {other:?}"),
+    }
+    server.shutdown().expect("shutdown");
+}
+
+#[test]
+fn an_idle_client_stalls_no_route_past_the_socket_timeout() {
+    let (server, addr) = start(0, None);
+    // Connect and send nothing: the accept loop must not wait on this
+    // peer longer than its socket timeout.
+    let _idle = std::net::TcpStream::connect(&addr).expect("connect");
+    std::thread::sleep(std::time::Duration::from_millis(50));
+    // On a thread, so a stalled server fails the test instead of hanging
+    // it.
+    let (tx, rx) = std::sync::mpsc::channel();
+    let probe = addr.clone();
+    std::thread::spawn(move || tx.send(client::healthz(&probe).is_ok()));
+    let bound = verifd::server::IO_TIMEOUT + std::time::Duration::from_secs(1);
+    assert_eq!(
+        rx.recv_timeout(bound),
+        Ok(true),
+        "/healthz did not answer within {bound:?} behind an idle client"
+    );
+    server.shutdown().expect("shutdown");
+}
+
+#[test]
+fn local_leases_never_expire() {
+    // A lease TTL far shorter than any slot's run time, reaped every few
+    // milliseconds: in-process leases must survive it, so each slot runs
+    // exactly once.
+    let server = Server::start(ServerConfig {
+        workers: 1,
+        job_threads: 1,
+        lease_ttl_ms: 1,
+        poll_ms: 2,
+        ..ServerConfig::default()
+    })
+    .expect("bind loopback");
+    let addr = server.addr().to_string();
+    let spec = small_spec();
+    let submitted = client::fleet_submit(&addr, &spec, 3).expect("submit fleet");
+    let status = client::fleet_wait(&addr, submitted.id).expect("wait");
+    assert_eq!(status.status, "done");
+    let merged = status.campaign.expect("merged result");
+    assert_eq!(
+        merged.result,
+        spec.to_campaign().try_run(1).expect("local run")
+    );
+
+    let stats = client::stats(&addr).expect("stats");
+    assert_eq!(stats.get_u64("leases_expired"), Some(0));
+    assert_eq!(stats.get_u64("leases_retried"), Some(0));
+    assert_eq!(stats.get_u64("leases_granted"), Some(3));
+    assert_eq!(stats.get_u64("shards_done"), Some(3));
+    server.shutdown().expect("shutdown");
+}
