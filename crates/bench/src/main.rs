@@ -135,15 +135,13 @@ fn run_campaign(config: &ExperimentConfig, args: &[String]) {
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         let mut value = |flag: &str| {
-            iter.next().cloned().unwrap_or_else(|| {
-                eprintln!("`{flag}` needs a value\n{usage}");
-                std::process::exit(2);
-            })
+            iter.next()
+                .cloned()
+                .unwrap_or_else(|| usage_error(format!("`{flag}` needs a value"), usage))
         };
         let parse_u64 = |flag: &str, raw: String| -> u64 {
             raw.parse().unwrap_or_else(|_| {
-                eprintln!("`{flag}` needs an integer, got `{raw}`\n{usage}");
-                std::process::exit(2);
+                usage_error(format!("`{flag}` needs an integer, got `{raw}`"), usage)
             })
         };
         match arg.as_str() {
@@ -168,15 +166,11 @@ fn run_campaign(config: &ExperimentConfig, args: &[String]) {
                 let raw = value("--threads");
                 let n = parse_u64("--threads", raw);
                 if n == 0 {
-                    eprintln!("`--threads` must be at least 1\n{usage}");
-                    std::process::exit(2);
+                    usage_error("`--threads` must be at least 1", usage);
                 }
                 threads = n as usize;
             }
-            other => {
-                eprintln!("unknown campaign argument `{other}`\n{usage}");
-                std::process::exit(2);
-            }
+            other => usage_error(format!("unknown campaign argument `{other}`"), usage),
         }
     }
     let safety_armed = safety.any_enabled();
@@ -239,15 +233,13 @@ fn run_inject(config: &ExperimentConfig, args: &[String]) {
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         let mut value = |flag: &str| {
-            iter.next().cloned().unwrap_or_else(|| {
-                eprintln!("`{flag}` needs a value\n{usage}");
-                std::process::exit(2);
-            })
+            iter.next()
+                .cloned()
+                .unwrap_or_else(|| usage_error(format!("`{flag}` needs a value"), usage))
         };
         let parse_u64 = |flag: &str, raw: String| -> u64 {
             raw.parse().unwrap_or_else(|_| {
-                eprintln!("`{flag}` needs an integer, got `{raw}`\n{usage}");
-                std::process::exit(2);
+                usage_error(format!("`{flag}` needs an integer, got `{raw}`"), usage)
             })
         };
         match arg.as_str() {
@@ -256,10 +248,7 @@ fn run_inject(config: &ExperimentConfig, args: &[String]) {
                 level = match value("--level").as_str() {
                     "0" => false,
                     "1" => true,
-                    raw => {
-                        eprintln!("`--level` is 0 or 1, got `{raw}`\n{usage}");
-                        std::process::exit(2);
-                    }
+                    raw => usage_error(format!("`--level` is 0 or 1, got `{raw}`"), usage),
                 }
             }
             "--period" => period = parse_u64("--period", value("--period")),
@@ -267,23 +256,15 @@ fn run_inject(config: &ExperimentConfig, args: &[String]) {
             "--phase" => phase = parse_u64("--phase", value("--phase")),
             "--flips" => {
                 let raw = parse_u64("--flips", value("--flips"));
-                flips = u32::try_from(raw).unwrap_or_else(|_| {
-                    eprintln!("`--flips` is out of range\n{usage}");
-                    std::process::exit(2);
-                });
+                flips = u32::try_from(raw)
+                    .unwrap_or_else(|_| usage_error("`--flips` is out of range", usage));
             }
             "--spacing" => spacing = parse_u64("--spacing", value("--spacing")),
             "--targets" => match fault_inject::AttackTarget::parse_list(&value("--targets")) {
                 Ok(list) => targets = list,
-                Err(e) => {
-                    eprintln!("{e}\n{usage}");
-                    std::process::exit(2);
-                }
+                Err(e) => usage_error(e, usage),
             },
-            other => {
-                eprintln!("unknown inject argument `{other}`\n{usage}");
-                std::process::exit(2);
-            }
+            other => usage_error(format!("unknown inject argument `{other}`"), usage),
         }
     }
     let kind = match kind_token.as_str() {
@@ -298,14 +279,10 @@ fn run_inject(config: &ExperimentConfig, args: &[String]) {
             phase,
         },
         "burst" => FaultKind::TransientBurst { flips, spacing },
-        other => {
-            eprintln!("unknown fault kind `{other}`\n{usage}");
-            std::process::exit(2);
-        }
+        other => usage_error(format!("unknown fault kind `{other}`"), usage),
     };
     if let Err(reason) = kind.validate() {
-        eprintln!("invalid fault-kind parameters: {reason}\n{usage}");
-        std::process::exit(2);
+        usage_error(format!("invalid fault-kind parameters: {reason}"), usage);
     }
     print!("{}", inject_study(config, kind, &targets));
 }
@@ -323,10 +300,7 @@ fn run_serve(args: &[String]) {
 /// Start a server from `base` plus the flags and block until it stops.
 /// Bad flags exit 2, a failed start exits 1.
 fn serve(args: &[String], base: ServerConfig, usage: &str) {
-    let config = ServerConfig::from_args(args, base).unwrap_or_else(|e| {
-        eprintln!("{e}\n{usage}");
-        std::process::exit(2);
-    });
+    let config = ServerConfig::from_args(args, base).unwrap_or_else(|e| usage_error(e, usage));
     match Server::start(config) {
         Ok(server) => {
             eprintln!("[repro] verifd listening on {}", server.addr());
@@ -358,10 +332,10 @@ fn spec_flag(
     value: &mut dyn FnMut(&str) -> String,
     usage: &str,
 ) -> bool {
-    let fail = |message: String| -> ! {
-        eprintln!("{message}\n{usage}");
-        std::process::exit(2);
-    };
+    let (sample, injection, shard) = (&mut spec.sample, &mut spec.injection, &mut spec.shard);
+    if sweep_flag(sample, injection, shard, config, arg, value, usage) {
+        return true;
+    }
     match arg {
         "iu" => spec.target = Target::IntegerUnit,
         "cmem" => spec.target = Target::CacheMemory,
@@ -369,39 +343,7 @@ fn spec_flag(
         "--benchmark" => {
             let name = value(arg);
             spec.benchmark = Benchmark::by_name(&name)
-                .unwrap_or_else(|| fail(format!("unknown benchmark `{name}`")));
-        }
-        "--sample" => {
-            let n = parse_usize(arg, value(arg), usage);
-            spec.sample = Some((n, spec.sample.map_or(config.seed, |(_, s)| s)));
-        }
-        "--seed" => {
-            let seed = parse_usize(arg, value(arg), usage) as u64;
-            spec.sample = Some((
-                spec.sample.map_or(config.sample_per_campaign, |(n, _)| n),
-                seed,
-            ));
-        }
-        "--exhaustive" => spec.sample = None,
-        "--injection-cycle" => {
-            spec.injection = InjectionInstant::Cycle(parse_usize(arg, value(arg), usage) as u64);
-        }
-        "--injection-fraction" => {
-            let raw = value(arg);
-            let f = raw
-                .parse()
-                .unwrap_or_else(|_| fail(format!("`{arg}` needs a number, got `{raw}`")));
-            spec.injection = InjectionInstant::Fraction(f);
-        }
-        "--shard" => {
-            let raw = value(arg);
-            let parsed = raw
-                .split_once('/')
-                .and_then(|(i, n)| Some((i.parse::<u32>().ok()?, n.parse::<u32>().ok()?)));
-            match parsed {
-                Some((i, n)) if n > 0 && i < n => spec.shard = Some((i, n)),
-                _ => fail(format!("`--shard` wants I/N with I < N, got `{raw}`")),
-            }
+                .unwrap_or_else(|| usage_error(format!("unknown benchmark `{name}`"), usage));
         }
         "--deadline-ms" => spec.deadline_ms = Some(parse_usize(arg, value(arg), usage) as u64),
         "--lockstep-window" => {
@@ -410,6 +352,56 @@ fn spec_flag(
         "--parity" => spec.safety.parity = true,
         "--watchdog-cycles" => {
             spec.safety.watchdog_cycles = Some(parse_usize(arg, value(arg), usage) as u64);
+        }
+        _ => return false,
+    }
+    true
+}
+
+/// Apply one of the flags campaign and correlation specs share — the
+/// site sample, the injection instant, the shard — to that spec's
+/// fields; `false` when `arg` is not one. Bad values exit 2.
+fn sweep_flag(
+    sample: &mut Option<(usize, u64)>,
+    injection: &mut InjectionInstant,
+    shard: &mut Option<(u32, u32)>,
+    config: &ExperimentConfig,
+    arg: &str,
+    value: &mut dyn FnMut(&str) -> String,
+    usage: &str,
+) -> bool {
+    match arg {
+        "--sample" => {
+            let n = parse_usize(arg, value(arg), usage);
+            *sample = Some((n, sample.map_or(config.seed, |(_, s)| s)));
+        }
+        "--seed" => {
+            let seed = parse_usize(arg, value(arg), usage) as u64;
+            *sample = Some((sample.map_or(config.sample_per_campaign, |(n, _)| n), seed));
+        }
+        "--exhaustive" => *sample = None,
+        "--injection-cycle" => {
+            *injection = InjectionInstant::Cycle(parse_usize(arg, value(arg), usage) as u64);
+        }
+        "--injection-fraction" => {
+            let raw = value(arg);
+            let f = raw.parse().unwrap_or_else(|_| {
+                usage_error(format!("`{arg}` needs a number, got `{raw}`"), usage)
+            });
+            *injection = InjectionInstant::Fraction(f);
+        }
+        "--shard" => {
+            let raw = value(arg);
+            let parsed = raw
+                .split_once('/')
+                .and_then(|(i, n)| Some((i.parse::<u32>().ok()?, n.parse::<u32>().ok()?)));
+            match parsed {
+                Some((i, n)) if n > 0 && i < n => *shard = Some((i, n)),
+                _ => usage_error(
+                    format!("`--shard` wants I/N with I < N, got `{raw}`"),
+                    usage,
+                ),
+            }
         }
         _ => return false,
     }
@@ -430,20 +422,16 @@ fn run_submit(config: &ExperimentConfig, args: &[String]) {
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         let mut value = |flag: &str| {
-            iter.next().cloned().unwrap_or_else(|| {
-                eprintln!("`{flag}` needs a value\n{usage}");
-                std::process::exit(2);
-            })
+            iter.next()
+                .cloned()
+                .unwrap_or_else(|| usage_error(format!("`{flag}` needs a value"), usage))
         };
         match arg.as_str() {
             "--addr" => addr = value("--addr"),
             "--detach" => detach = true,
             "--json" => json = true,
             other if spec_flag(&mut spec, config, other, &mut value, usage) => {}
-            other => {
-                eprintln!("unknown submit argument `{other}`\n{usage}");
-                std::process::exit(2);
-            }
+            other => usage_error(format!("unknown submit argument `{other}`"), usage),
         }
     }
     let reply = client::submit(&addr, &spec).unwrap_or_else(|e| {
@@ -486,24 +474,20 @@ fn run_merge(args: &[String]) {
     while let Some(arg) = iter.next() {
         match arg.as_str() {
             "--addr" => {
-                addr = iter.next().cloned().unwrap_or_else(|| {
-                    eprintln!("`--addr` needs a value\n{usage}");
-                    std::process::exit(2);
-                });
+                addr = iter
+                    .next()
+                    .cloned()
+                    .unwrap_or_else(|| usage_error("`--addr` needs a value", usage));
             }
             "--json" => json = true,
             raw => match raw.parse::<u64>() {
                 Ok(id) => ids.push(id),
-                Err(_) => {
-                    eprintln!("`{raw}` is not a campaign id\n{usage}");
-                    std::process::exit(2);
-                }
+                Err(_) => usage_error(format!("`{raw}` is not a campaign id"), usage),
             },
         }
     }
     if ids.is_empty() {
-        eprintln!("nothing to merge\n{usage}");
-        std::process::exit(2);
+        usage_error("nothing to merge", usage);
     }
     match client::merge(&addr, &ids) {
         Ok(merged) => {
@@ -560,10 +544,7 @@ fn run_fleet(config: &ExperimentConfig, args: &[String]) {
         Some("submit") => fleet_submit(config, &args[1..]),
         Some("status") => fleet_status(&args[1..]),
         Some("--help" | "-h") | None => println!("{}", fleet_usage()),
-        Some(other) => {
-            eprintln!("unknown fleet verb `{other}`\n{}", fleet_usage());
-            std::process::exit(2);
-        }
+        Some(other) => usage_error(format!("unknown fleet verb `{other}`"), &fleet_usage()),
     }
 }
 
@@ -579,10 +560,7 @@ fn fleet_coordinate(args: &[String]) {
 
 /// `repro fleet run`: work for a server until it drains.
 fn fleet_run(args: &[String]) {
-    let config = RunnerConfig::from_args(args).unwrap_or_else(|e| {
-        eprintln!("{e}\n{}", fleet_usage());
-        std::process::exit(2);
-    });
+    let config = RunnerConfig::from_args(args).unwrap_or_else(|e| usage_error(e, &fleet_usage()));
     let addr = config.coordinator.clone();
     match Runner::start(config) {
         Ok(runner) => {
@@ -601,7 +579,7 @@ fn fleet_run(args: &[String]) {
 /// fleet, and (unless detached) follow it to a terminal state. Exits 1
 /// when the campaign completes degraded.
 fn fleet_submit(config: &ExperimentConfig, args: &[String]) {
-    let usage = fleet_usage();
+    let usage = &fleet_usage();
     let mut addr = DEFAULT_FLEET_ADDR.to_string();
     let mut spec = submit_spec(config);
     let mut shards: u32 = 2;
@@ -611,32 +589,27 @@ fn fleet_submit(config: &ExperimentConfig, args: &[String]) {
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         let mut value = |flag: &str| {
-            iter.next().cloned().unwrap_or_else(|| {
-                eprintln!("`{flag}` needs a value\n{usage}");
-                std::process::exit(2);
-            })
+            iter.next()
+                .cloned()
+                .unwrap_or_else(|| usage_error(format!("`{flag}` needs a value"), usage))
         };
         match arg.as_str() {
             "--addr" => addr = value("--addr"),
             "--shards" => {
-                let n = parse_usize("--shards", value("--shards"), &usage);
+                let n = parse_usize("--shards", value("--shards"), usage);
                 shards = u32::try_from(n).unwrap_or(0);
             }
             "--watch" => watch = true,
             "--detach" => detach = true,
             "--json" => json = true,
             other
-                if other != "--shard"
-                    && spec_flag(&mut spec, config, other, &mut value, &usage) => {}
-            other => {
-                eprintln!("unknown submit flag `{other}`\n{usage}");
-                std::process::exit(2);
+                if other != "--shard" && spec_flag(&mut spec, config, other, &mut value, usage) => {
             }
+            other => usage_error(format!("unknown submit flag `{other}`"), usage),
         }
     }
     if shards == 0 || shards > 4096 {
-        eprintln!("`--shards` wants 1..=4096\n{usage}");
-        std::process::exit(2);
+        usage_error("`--shards` wants 1..=4096", usage);
     }
     let reply = client::fleet_submit(&addr, &spec, shards).unwrap_or_else(|e| {
         eprintln!("[repro] fleet submit failed: {e}");
@@ -668,7 +641,7 @@ fn fleet_submit(config: &ExperimentConfig, args: &[String]) {
 /// `repro fleet status`: poll (or `--watch` stream) one fleet campaign.
 /// Exits 1 when the campaign is degraded.
 fn fleet_status(args: &[String]) {
-    let usage = fleet_usage();
+    let usage = &fleet_usage();
     let mut addr = DEFAULT_FLEET_ADDR.to_string();
     let mut watch = false;
     let mut json = false;
@@ -677,25 +650,21 @@ fn fleet_status(args: &[String]) {
     while let Some(arg) = iter.next() {
         match arg.as_str() {
             "--addr" => {
-                addr = iter.next().cloned().unwrap_or_else(|| {
-                    eprintln!("`--addr` needs a value\n{usage}");
-                    std::process::exit(2);
-                });
+                addr = iter
+                    .next()
+                    .cloned()
+                    .unwrap_or_else(|| usage_error("`--addr` needs a value", usage));
             }
             "--watch" => watch = true,
             "--json" => json = true,
             raw => match raw.parse::<u64>() {
                 Ok(n) => id = Some(n),
-                Err(_) => {
-                    eprintln!("`{raw}` is not a fleet campaign id\n{usage}");
-                    std::process::exit(2);
-                }
+                Err(_) => usage_error(format!("`{raw}` is not a fleet campaign id"), usage),
             },
         }
     }
     let Some(id) = id else {
-        eprintln!("`status` needs a campaign id\n{usage}");
-        std::process::exit(2);
+        usage_error("`status` needs a campaign id", usage);
     };
     let status = if watch {
         client::fleet_watch(&addr, id, &mut |line| eprintln!("[repro] {line}"))
@@ -757,10 +726,9 @@ fn run_correlate(config: &ExperimentConfig, args: &[String]) {
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         let mut value = |flag: &str| {
-            iter.next().cloned().unwrap_or_else(|| {
-                eprintln!("`{flag}` needs a value\n{usage}");
-                std::process::exit(2);
-            })
+            iter.next()
+                .cloned()
+                .unwrap_or_else(|| usage_error(format!("`{flag}` needs a value"), usage))
         };
         match arg.as_str() {
             "--addr" => addr = Some(value("--addr")),
@@ -769,8 +737,7 @@ fn run_correlate(config: &ExperimentConfig, args: &[String]) {
                     .split(',')
                     .map(|name| {
                         Benchmark::by_name(name).unwrap_or_else(|| {
-                            eprintln!("unknown benchmark `{name}`\n{usage}");
-                            std::process::exit(2);
+                            usage_error(format!("unknown benchmark `{name}`"), usage)
                         })
                     })
                     .collect();
@@ -780,8 +747,10 @@ fn run_correlate(config: &ExperimentConfig, args: &[String]) {
                     .split(',')
                     .map(|token| {
                         target_from_token(token).unwrap_or_else(|| {
-                            eprintln!("unknown target `{token}` (iu, cmem or whole)\n{usage}");
-                            std::process::exit(2);
+                            usage_error(
+                                format!("unknown target `{token}` (iu, cmem or whole)"),
+                                usage,
+                            )
                         })
                     })
                     .collect();
@@ -789,12 +758,7 @@ fn run_correlate(config: &ExperimentConfig, args: &[String]) {
             "--kinds" => {
                 spec.kinds = value("--kinds")
                     .split(',')
-                    .map(|token| {
-                        kind_from_token(token).unwrap_or_else(|e| {
-                            eprintln!("{e}\n{usage}");
-                            std::process::exit(2);
-                        })
-                    })
+                    .map(|token| kind_from_token(token).unwrap_or_else(|e| usage_error(e, usage)))
                     .collect();
             }
             "--datasets" => {
@@ -806,11 +770,13 @@ fn run_correlate(config: &ExperimentConfig, args: &[String]) {
                         list.split(',')
                             .map(|d| {
                                 d.parse().unwrap_or_else(|_| {
-                                    eprintln!(
-                                        "`--datasets` is all, first or a comma list of \
-                                         indices, got `{raw}`\n{usage}"
+                                    usage_error(
+                                        format!(
+                                            "`--datasets` is all, first or a comma list of \
+                                         indices, got `{raw}`"
+                                        ),
+                                        usage,
                                     );
-                                    std::process::exit(2);
                                 })
                             })
                             .collect(),
@@ -818,69 +784,35 @@ fn run_correlate(config: &ExperimentConfig, args: &[String]) {
                 };
             }
             "--no-excerpts" => spec.include_excerpts = false,
-            "--sample" => {
-                let n = parse_usize("--sample", value("--sample"), usage);
-                let seed = spec.sample.map_or(config.seed, |(_, s)| s);
-                spec.sample = Some((n, seed));
-            }
-            "--seed" => {
-                let seed = parse_usize("--seed", value("--seed"), usage) as u64;
-                let n = spec.sample.map_or(config.sample_per_campaign, |(n, _)| n);
-                spec.sample = Some((n, seed));
-            }
-            "--exhaustive" => spec.sample = None,
-            "--injection-cycle" => {
-                spec.injection = InjectionInstant::Cycle(parse_usize(
-                    "--injection-cycle",
-                    value("--injection-cycle"),
-                    usage,
-                ) as u64);
-            }
-            "--injection-fraction" => {
-                let raw = value("--injection-fraction");
-                let f: f64 = raw.parse().unwrap_or_else(|_| {
-                    eprintln!("`--injection-fraction` needs a number, got `{raw}`\n{usage}");
-                    std::process::exit(2);
-                });
-                spec.injection = InjectionInstant::Fraction(f);
-            }
-            "--shard" => {
-                let raw = value("--shard");
-                let parsed = raw
-                    .split_once('/')
-                    .and_then(|(i, n)| Some((i.parse::<u32>().ok()?, n.parse::<u32>().ok()?)));
-                match parsed {
-                    Some((i, n)) if n > 0 && i < n => spec.shard = Some((i, n)),
-                    _ => {
-                        eprintln!("`--shard` wants I/N with I < N, got `{raw}`\n{usage}");
-                        std::process::exit(2);
-                    }
-                }
-            }
             "--threads" => {
                 threads = parse_usize("--threads", value("--threads"), usage).max(1);
             }
             "--detach" => detach = true,
             "--json" => json = true,
-            other => {
-                eprintln!("unknown correlate argument `{other}`\n{usage}");
-                std::process::exit(2);
-            }
+            other
+                if sweep_flag(
+                    &mut spec.sample,
+                    &mut spec.injection,
+                    &mut spec.shard,
+                    config,
+                    other,
+                    &mut value,
+                    usage,
+                ) => {}
+            other => usage_error(format!("unknown correlate argument `{other}`"), usage),
         }
     }
     // Normalize through the wire round-trip: sorts and dedups the axes,
     // range-checks dataset indices, refuses empty lists.
-    spec = CorrelationSpec::parse(&spec.to_json()).unwrap_or_else(|e| {
-        eprintln!("invalid sweep: {e}\n{usage}");
-        std::process::exit(2);
-    });
+    spec = CorrelationSpec::parse(&spec.to_json())
+        .unwrap_or_else(|e| usage_error(format!("invalid sweep: {e}"), usage));
     let Some(addr) = addr else {
         if spec.shard.is_some() {
-            eprintln!(
+            usage_error(
                 "sharded sweeps run on a service (--addr); merge the shard ids with \
-                 `repro merge`\n{usage}"
+                 `repro merge`",
+                usage,
             );
-            std::process::exit(2);
         }
         match spec.run_report(threads) {
             Ok(report) => report_correlation(&report, json),
@@ -954,10 +886,9 @@ fn run_predict(args: &[String]) {
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         let mut value = |flag: &str| {
-            iter.next().cloned().unwrap_or_else(|| {
-                eprintln!("`{flag}` needs a value\n{usage}");
-                std::process::exit(2);
-            })
+            iter.next()
+                .cloned()
+                .unwrap_or_else(|| usage_error(format!("`{flag}` needs a value"), usage))
         };
         match arg.as_str() {
             "--addr" => addr = value("--addr"),
@@ -969,14 +900,16 @@ fn run_predict(args: &[String]) {
                     .split(',')
                     .map(|pair| {
                         let Some((mnemonic, count)) = pair.split_once('=') else {
-                            eprintln!("`--histogram` wants op=N pairs, got `{pair}`\n{usage}");
-                            std::process::exit(2);
+                            usage_error(
+                                format!("`--histogram` wants op=N pairs, got `{pair}`"),
+                                usage,
+                            );
                         };
                         let count: u64 = count.parse().unwrap_or_else(|_| {
-                            eprintln!(
-                                "`--histogram` count for `{mnemonic}` is not an integer\n{usage}"
-                            );
-                            std::process::exit(2);
+                            usage_error(
+                                format!("`--histogram` count for `{mnemonic}` is not an integer"),
+                                usage,
+                            )
                         });
                         (mnemonic.to_string(), count)
                     })
@@ -986,38 +919,31 @@ fn run_predict(args: &[String]) {
             "--target" => {
                 let token = value("--target");
                 target = target_from_token(&token).unwrap_or_else(|| {
-                    eprintln!("unknown target `{token}` (iu, cmem or whole)\n{usage}");
-                    std::process::exit(2);
+                    usage_error(
+                        format!("unknown target `{token}` (iu, cmem or whole)"),
+                        usage,
+                    )
                 });
             }
             "--kind" => {
-                kind = kind_from_token(&value("--kind")).unwrap_or_else(|e| {
-                    eprintln!("{e}\n{usage}");
-                    std::process::exit(2);
-                });
+                kind = kind_from_token(&value("--kind")).unwrap_or_else(|e| usage_error(e, usage));
             }
             "--fingerprint" => fingerprint = Some(value("--fingerprint")),
             "--json" => json = true,
-            other => {
-                eprintln!("unknown predict argument `{other}`\n{usage}");
-                std::process::exit(2);
-            }
+            other => usage_error(format!("unknown predict argument `{other}`"), usage),
         }
     }
     let sources = usize::from(benchmark.is_some())
         + usize::from(iss.is_some())
         + usize::from(histogram.is_some());
     if sources != 1 {
-        eprintln!("give exactly one of --benchmark, --iss, --histogram\n{usage}");
-        std::process::exit(2);
+        usage_error("give exactly one of --benchmark, --iss, --histogram", usage);
     }
     if let Some(name) = iss {
         // The paper's workflow: characterize the workload on the ISS,
         // predict its RTL failure probability from diversity alone.
-        let subject = Benchmark::by_name(&name).unwrap_or_else(|| {
-            eprintln!("unknown benchmark `{name}`\n{usage}");
-            std::process::exit(2);
-        });
+        let subject = Benchmark::by_name(&name)
+            .unwrap_or_else(|| usage_error(format!("unknown benchmark `{name}`"), usage));
         let mut run = Iss::new(IssConfig::default());
         run.load(&subject.program(&Params::default()));
         let outcome = run.run(200_000_000);
@@ -1044,10 +970,8 @@ fn run_predict(args: &[String]) {
     request.fingerprint = fingerprint;
     // Round-trip validation: unknown mnemonics and zero counts are
     // refused here rather than by the service.
-    let request = PredictRequest::parse(&request.to_json()).unwrap_or_else(|e| {
-        eprintln!("invalid request: {e}\n{usage}");
-        std::process::exit(2);
-    });
+    let request = PredictRequest::parse(&request.to_json())
+        .unwrap_or_else(|e| usage_error(format!("invalid request: {e}"), usage));
     let prediction = client::predict(&addr, &request).unwrap_or_else(|e| {
         eprintln!("[repro] predict failed: {e}");
         std::process::exit(1);
@@ -1089,10 +1013,9 @@ fn run_benchgate(config: &ExperimentConfig, args: &[String]) {
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         let mut value = |flag: &str| {
-            it.next().cloned().unwrap_or_else(|| {
-                eprintln!("`{flag}` needs a value\n{USAGE}");
-                std::process::exit(2);
-            })
+            it.next()
+                .cloned()
+                .unwrap_or_else(|| usage_error(format!("`{flag}` needs a value"), USAGE))
         };
         match arg.as_str() {
             "--baseline" => baseline = value("--baseline"),
@@ -1101,17 +1024,13 @@ fn run_benchgate(config: &ExperimentConfig, args: &[String]) {
             "--perturb" => {
                 let raw = value("--perturb");
                 perturb = raw.parse().unwrap_or_else(|_| {
-                    eprintln!("`--perturb` needs a number, got `{raw}`\n{USAGE}");
-                    std::process::exit(2);
+                    usage_error(format!("`--perturb` needs a number, got `{raw}`"), USAGE)
                 });
             }
             "--threads" => {
                 threads = parse_usize("--threads", value("--threads"), USAGE).max(1);
             }
-            other => {
-                eprintln!("unknown flag `{other}`\n{USAGE}");
-                std::process::exit(2);
-            }
+            other => usage_error(format!("unknown flag `{other}`"), USAGE),
         }
     }
     let mut failed = false;
@@ -1166,10 +1085,9 @@ fn run_netcheck(config: &ExperimentConfig, args: &[String]) {
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         let mut value = |flag: &str| {
-            it.next().cloned().unwrap_or_else(|| {
-                eprintln!("`{flag}` needs a value\n{USAGE}");
-                std::process::exit(2);
-            })
+            it.next()
+                .cloned()
+                .unwrap_or_else(|| usage_error(format!("`{flag}` needs a value"), USAGE))
         };
         match arg.as_str() {
             "--deny" => {
@@ -1177,20 +1095,14 @@ fn run_netcheck(config: &ExperimentConfig, args: &[String]) {
                     match check {
                         "dead-nets" => deny_dead = true,
                         "graph-mismatch" => deny_mismatch = true,
-                        other => {
-                            eprintln!("unknown check `{other}`\n{USAGE}");
-                            std::process::exit(2);
-                        }
+                        other => usage_error(format!("unknown check `{other}`"), USAGE),
                     }
                 }
             }
             "--threads" => {
                 threads = parse_usize("--threads", value("--threads"), USAGE).max(1);
             }
-            other => {
-                eprintln!("unknown flag `{other}`\n{USAGE}");
-                std::process::exit(2);
-            }
+            other => usage_error(format!("unknown flag `{other}`"), USAGE),
         }
     }
 
@@ -1316,11 +1228,15 @@ fn run_netcheck(config: &ExperimentConfig, args: &[String]) {
 }
 
 /// Parse a flag value as a non-negative integer or exit 2.
+/// Report a usage error and exit 2.
+fn usage_error(message: impl std::fmt::Display, usage: &str) -> ! {
+    eprintln!("{message}\n{usage}");
+    std::process::exit(2);
+}
+
 fn parse_usize(flag: &str, raw: String, usage: &str) -> usize {
-    raw.parse().unwrap_or_else(|_| {
-        eprintln!("`{flag}` needs an integer, got `{raw}`\n{usage}");
-        std::process::exit(2);
-    })
+    raw.parse()
+        .unwrap_or_else(|_| usage_error(format!("`{flag}` needs an integer, got `{raw}`"), usage))
 }
 
 fn main() {

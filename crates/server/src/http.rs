@@ -8,6 +8,7 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 /// Largest request body the server accepts (a merge of many shard ids is
 /// tiny; campaign specs are smaller still).
@@ -25,15 +26,61 @@ pub struct Request {
     pub body: String,
 }
 
-/// Read one request from the stream.
+/// A socket whose reads and writes all end by one instant: before each
+/// call the socket timeout shrinks to the time left, so a peer that
+/// trickles bytes cannot stretch a request (or a reply) past the
+/// deadline the way it can stretch a per-call timeout.
+pub struct Deadline<'a> {
+    stream: &'a TcpStream,
+    until: Instant,
+}
+
+impl<'a> Deadline<'a> {
+    /// A deadline `timeout` from now.
+    pub fn after(stream: &'a TcpStream, timeout: Duration) -> Deadline<'a> {
+        Deadline {
+            stream,
+            until: Instant::now() + timeout,
+        }
+    }
+
+    /// The time left, or a `TimedOut` error once there is none.
+    fn left(&self) -> std::io::Result<Duration> {
+        match self.until.checked_duration_since(Instant::now()) {
+            Some(left) if !left.is_zero() => Ok(left),
+            _ => Err(std::io::ErrorKind::TimedOut.into()),
+        }
+    }
+}
+
+impl Read for Deadline<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.stream.set_read_timeout(Some(self.left()?))?;
+        (&mut &*self.stream).read(buf)
+    }
+}
+
+impl Write for Deadline<'_> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.stream.set_write_timeout(Some(self.left()?))?;
+        (&mut &*self.stream).write(buf)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        (&mut &*self.stream).flush()
+    }
+}
+
+/// Read one request from the stream (wrap it in a [`Deadline`] to bound
+/// the whole request, not just each read).
 ///
 /// # Errors
 ///
 /// Fails on I/O errors, a malformed request line, a non-numeric or
 /// oversized `Content-Length`, or a body that is not UTF-8.
-pub fn read_request(stream: &TcpStream) -> std::io::Result<Request> {
+pub fn read_request(stream: impl Read) -> std::io::Result<Request> {
     let bad = |reason: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, reason);
-    let mut reader = BufReader::new(stream.try_clone()?);
+    let mut reader = BufReader::new(stream);
     let mut line = String::new();
     reader.read_line(&mut line)?;
     let mut parts = line.split_whitespace();
@@ -98,7 +145,7 @@ fn reason(status: u16) -> &'static str {
 /// # Errors
 ///
 /// Fails on I/O errors.
-pub fn write_response(stream: &mut TcpStream, status: u16, body: &str) -> std::io::Result<()> {
+pub fn write_response(stream: &mut impl Write, status: u16, body: &str) -> std::io::Result<()> {
     write_response_with(stream, status, &[], body)
 }
 
@@ -109,7 +156,7 @@ pub fn write_response(stream: &mut TcpStream, status: u16, body: &str) -> std::i
 ///
 /// Fails on I/O errors.
 pub fn write_response_with(
-    stream: &mut TcpStream,
+    stream: &mut impl Write,
     status: u16,
     headers: &[(&str, &str)],
     body: &str,

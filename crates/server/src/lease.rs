@@ -280,18 +280,20 @@ impl LeaseTable {
             .collect()
     }
 
-    /// Drop every slot that is not done, returning the queued/leased
-    /// shard keys (graceful shutdown writes their specs to the drain
-    /// file). Poisoned shards are not drained — resubmission after a
-    /// restart gives them a fresh attempt budget anyway.
+    /// Drop every queued or remotely leased slot, returning their keys
+    /// (graceful shutdown writes their specs to the drain file). An
+    /// in-process worker's slot stays leased: the worker finishes it
+    /// before the server stops, and its output must still be accepted.
+    /// Poisoned shards are not drained — resubmission after a restart
+    /// gives them a fresh attempt budget anyway.
     pub fn drain(&mut self) -> Vec<ShardKey> {
         let mut drained = Vec::new();
         self.slots.retain(|slot| match slot.phase {
+            Phase::Leased { expires: None, .. } | Phase::Done => true,
             Phase::Queued { .. } | Phase::Leased { .. } => {
                 drained.push(slot.key);
                 false
             }
-            Phase::Done => true,
             Phase::Poisoned => false,
         });
         drained
@@ -519,5 +521,21 @@ mod tests {
         assert_eq!(drained, vec![key(1, 1), key(1, 2), key(1, 3)]);
         assert_eq!(table.snapshot().done, 1);
         assert_eq!(table.snapshot().queued + table.snapshot().leased, 0);
+    }
+
+    #[test]
+    fn drain_keeps_local_leases_completable() {
+        let mut table = LeaseTable::new(policy());
+        for shard in 0..3 {
+            table.enqueue(key(1, shard));
+        }
+        let local = table.acquire_local(0).unwrap();
+        let _remote = table.acquire(0).unwrap();
+        // The remote lease (1) and the queued slot (2) drain; the local
+        // worker's slot stays leased and completes normally.
+        assert_eq!(table.drain(), vec![key(1, 1), key(1, 2)]);
+        assert_eq!(table.snapshot().leased, 1);
+        assert_eq!(table.complete(local.lease_id), Some(key(1, 0)));
+        assert_eq!(table.snapshot().done, 1);
     }
 }

@@ -7,7 +7,7 @@
 //! [`Server`]:
 //!
 //! * a **request layer** ([`http`]) — hand-rolled HTTP/1.1 over
-//!   `std::net::TcpListener` with per-socket timeouts, speaking the
+//!   `std::net::TcpListener` with per-request deadlines, speaking the
 //!   journal's hand-rolled JSON dialect ([`fault_inject::wire`]); no
 //!   registry dependencies;
 //! * the **server** ([`server`]) — one accept loop and router for every

@@ -34,14 +34,15 @@
 //!   and startup re-submits it — finished slots come from the store.
 //!
 //! Requests are handled inline on the accept thread: every route is a
-//! table or store operation, never a simulation, and every socket reads
-//! and writes under [`IO_TIMEOUT`], so one idle or stalled client holds
-//! the other routes for at most that long. A `?watch` stream gets its own
-//! thread.
+//! table or store operation, never a simulation. A client gets one
+//! [`IO_TIMEOUT`] to send its whole request and one to take its reply —
+//! deadlines, not per-read timeouts, so neither an idle client nor one
+//! trickling bytes holds the other routes longer. A `?watch` stream gets
+//! its own thread.
 
 use crate::http::{
     finish_chunks, read_request, write_chunk, write_chunked_head, write_response,
-    write_response_with, Request,
+    write_response_with, Deadline, Request,
 };
 use crate::lease::{LeasePolicy, LeaseTable, ShardKey};
 use crate::spec::{execute, CampaignSpec, JobSpec};
@@ -66,8 +67,9 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Read and write timeout on every accepted socket: the longest one idle
-/// or stalled client can hold the accept loop.
+/// Deadline for reading one whole request, and again for writing its
+/// reply: a client holds the accept loop for at most twice this long,
+/// however slowly it sends or reads.
 pub const IO_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Server configuration.
@@ -378,8 +380,9 @@ struct Inner {
     models: HashMap<String, CorrelationReport>,
     /// The most recently fitted model (`/predict`'s default).
     latest_model: Option<String>,
-    /// Runner `id` is `(name, threads)` at index `id - 1`.
-    runners: Vec<(String, u64)>,
+    /// Runner `id` is `(name, threads, slots completed)` at index
+    /// `id - 1`.
+    runners: Vec<(String, u64, u64)>,
     busy: usize,
     draining: bool,
     counters: Counters,
@@ -588,11 +591,10 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
         let Ok((mut stream, _)) = listener.accept() else {
             continue;
         };
-        let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
-        let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
-        let (status, body) = match read_request(&stream) {
+        let (status, body) = match read_request(Deadline::after(&stream, IO_TIMEOUT)) {
             Ok(request) => {
                 if let Some(id) = watch_request(&request) {
+                    let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
                     let shared = Arc::clone(shared);
                     std::thread::spawn(move || stream_progress(&shared, &mut stream, id));
                     continue;
@@ -608,7 +610,12 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
         } else {
             &[]
         };
-        let _ = write_response_with(&mut stream, status, headers, &body);
+        let _ = write_response_with(
+            &mut Deadline::after(&stream, IO_TIMEOUT),
+            status,
+            headers,
+            &body,
+        );
     }
 }
 
@@ -887,13 +894,13 @@ fn stats_json(shared: &Shared) -> String {
         inner.draining,
     );
     // The registered fleet, ids ascending.
-    for (i, (name, threads)) in inner.runners.iter().enumerate() {
+    for (i, (name, threads, completed)) in inner.runners.iter().enumerate() {
         if i > 0 {
             s.push(',');
         }
         let _ = write!(
             s,
-            "{{\"runner_id\":{},\"name\":{},\"threads\":{threads}}}",
+            "{{\"runner_id\":{},\"name\":{},\"threads\":{threads},\"completed\":{completed}}}",
             i + 1,
             escape_json(name),
         );
@@ -1272,7 +1279,7 @@ fn register(shared: &Shared, body: &str) -> Result<Reply, Reply> {
         .and_then(|v| Register::from_obj(&v))
         .map_err(bad)?;
     let mut inner = shared.lock();
-    inner.runners.push((request.name, request.threads));
+    inner.runners.push((request.name, request.threads, 0));
     let reply = Registered {
         runner_id: inner.runners.len() as u64,
         lease_ms: shared.config.lease_ttl_ms,
@@ -1335,6 +1342,10 @@ fn complete(shared: &Shared, body: &str) -> Result<Reply, Reply> {
     let now = shared.now_ms();
     let mut inner = shared.lock();
     let ok = accept(&mut inner, now, request.lease_id, request.output).map_err(bad)?;
+    let index = request.runner_id.checked_sub(1);
+    if let (true, Some(runner)) = (ok, index.and_then(|i| inner.runners.get_mut(i as usize))) {
+        runner.2 += 1;
+    }
     let draining = inner.draining;
     Ok((200, Ack { ok, draining }.to_json()))
 }

@@ -170,6 +170,13 @@ mod tests {
             // Geometry and deadline are part of the address.
             assert_eq!(store.get(&address("aa-bb", (1, 2), None)), None);
             assert_eq!(store.get(&address("aa-bb", (0, 2), Some(5))), None);
+            assert!(store
+                .put(&address("aa-bb", (1, 2), None), output(50))
+                .unwrap());
+            assert!(store
+                .put(&address("aa-bb", (0, 2), Some(5)), output(100))
+                .unwrap());
+            assert_eq!((store.puts(), store.dedup_hits()), (3, 1));
         }
         // A fresh handle on the directory sees the persisted result (and
         // dedups it); a fresh memory store starts empty.

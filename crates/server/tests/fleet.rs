@@ -576,17 +576,33 @@ fn local_workers_and_a_remote_runner_share_one_fleet_campaign() {
     })
     .expect("bind server");
     let addr = server.addr().to_string();
-    let runner = Runner::start(runner_config(&addr, &dir, "r")).expect("start runner");
+    // Occupy the one worker first, so the fleet below cannot finish
+    // without the runner.
+    let mut busy = small_spec();
+    busy.sample = Some((48, 3));
+    let busy = client::submit(&addr, &busy).expect("submit busy campaign");
+    wait_for_stat(&addr, "busy", 1);
     let base = small_spec();
-
     let submitted = client::fleet_submit(&addr, &base, 4).expect("submit fleet");
+    let runner = Runner::start(runner_config(&addr, &dir, "r")).expect("start runner");
+
     let status = client::fleet_wait(&addr, submitted.id).expect("wait");
     assert_eq!(status.status, "done");
     let merged = status.campaign.expect("merged result");
     let local = base.to_campaign().try_run(2).expect("local run");
     assert_eq!(merged.result, local);
-    assert_eq!(stat(&addr, "shards_done"), 4);
-    assert_eq!(stat(&addr, "leases_granted"), 4);
+    client::wait(&addr, busy.id).expect("busy campaign");
+    assert_eq!(stat(&addr, "shards_done"), 5);
+    assert_eq!(stat(&addr, "leases_granted"), 5);
+    // The runner completed fleet slots of its own.
+    let stats = client::stats(&addr).expect("stats");
+    let fleet = stats.get_array("fleet").expect("fleet");
+    assert_eq!(fleet.len(), 1);
+    let completed = fleet[0].get_u64("completed").expect("completed");
+    assert!(
+        (1..=4).contains(&completed),
+        "runner completed {completed} slots"
+    );
 
     runner.stop();
     server.shutdown().expect("shutdown");

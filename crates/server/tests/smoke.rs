@@ -345,6 +345,46 @@ fn graceful_shutdown_journals_the_queued_specs() {
 }
 
 #[test]
+fn shutdown_lets_an_in_flight_local_slot_finish_into_the_store() {
+    let dir = std::env::temp_dir().join(format!("verifd-inflight-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = |workers| ServerConfig {
+        workers,
+        job_threads: 1,
+        store_path: Some(dir.join("store")),
+        drain_path: Some(dir.join("drain.jsonl")),
+        ..ServerConfig::default()
+    };
+    let server = Server::start(config(1)).expect("bind loopback");
+    let addr = server.addr().to_string();
+    let mut spec = small_spec();
+    spec.sample = Some((48, 3));
+    client::submit(&addr, &spec).expect("submit");
+    // Shut down while the worker holds the slot.
+    let started = std::time::Instant::now();
+    while client::stats(&addr).expect("stats").get_u64("busy") != Some(1) {
+        assert!(
+            started.elapsed().as_secs() < 10,
+            "the worker never took the slot"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(2));
+    }
+    // The running slot is not drained: the worker finishes it and its
+    // output reaches the store, so nothing is left to re-simulate.
+    assert_eq!(server.shutdown().expect("shutdown"), 0);
+    assert!(!dir.join("drain.jsonl").exists());
+
+    // A restarted server with no workers serves it from the store.
+    let server = Server::start(config(0)).expect("bind loopback");
+    let addr = server.addr().to_string();
+    let reply = client::submit(&addr, &spec).expect("resubmit");
+    assert!(reply.cached, "the finished slot must be in the store");
+    assert_eq!(reply.status, "done");
+    server.shutdown().expect("shutdown");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn bad_submissions_and_unknown_routes_are_refused() {
     let (server, addr) = start(0, None);
 
@@ -404,6 +444,40 @@ fn an_idle_client_stalls_no_route_past_the_socket_timeout() {
         rx.recv_timeout(bound),
         Ok(true),
         "/healthz did not answer within {bound:?} behind an idle client"
+    );
+    server.shutdown().expect("shutdown");
+}
+
+#[test]
+fn a_trickling_client_stalls_no_route_past_the_request_deadline() {
+    use std::io::Write as _;
+    let (server, addr) = start(0, None);
+    // One header byte every 200 ms, never finishing the request: each
+    // read succeeds well inside a per-read timeout, so only a deadline on
+    // the whole request frees the accept loop.
+    let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let mut slow = std::net::TcpStream::connect(&addr).expect("connect");
+    let trickling = std::sync::Arc::clone(&stop);
+    std::thread::spawn(move || {
+        slow.write_all(b"GET /healthz HTTP/1.1\r\nx-slow: ").ok();
+        while !trickling.load(std::sync::atomic::Ordering::SeqCst) {
+            if slow.write_all(b"a").is_err() {
+                return;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(200));
+        }
+    });
+    std::thread::sleep(std::time::Duration::from_millis(50));
+    let (tx, rx) = std::sync::mpsc::channel();
+    let probe = addr.clone();
+    std::thread::spawn(move || tx.send(client::healthz(&probe).is_ok()));
+    let bound = verifd::server::IO_TIMEOUT + std::time::Duration::from_secs(1);
+    let answered = rx.recv_timeout(bound);
+    stop.store(true, std::sync::atomic::Ordering::SeqCst);
+    assert_eq!(
+        answered,
+        Ok(true),
+        "/healthz did not answer within {bound:?} behind a trickling client"
     );
     server.shutdown().expect("shutdown");
 }
