@@ -5,9 +5,10 @@
 //! repro inject [--kind stuck0|stuck1|open|transient|intermittent|burst]
 //!              [--level 0|1] [--period N] [--duty N] [--phase N]
 //!              [--flips N] [--spacing N] [--targets branch,psr,pc]
-//! repro campaign [iu|cmem] [--journal PATH] [--resume PATH] [--deadline-ms N]
-//!                [--lockstep-window N] [--parity] [--watchdog-cycles N]
-//!                [--threads N]
+//! repro campaign [iu|cmem|whole] [--benchmark NAME] [--sample N --seed N]
+//!                [--injection-fraction F] [--shard I/N] [--journal PATH]
+//!                [--resume PATH] [--deadline-ms N] [--lockstep-window N]
+//!                [--parity] [--watchdog-cycles N] [--threads N]
 //! repro serve  [--addr HOST:PORT] [--workers N] [--queue-depth N]
 //!              [--job-threads N] [--lease-ttl-ms N] [--heartbeat-ms N]
 //!              [--max-attempts N] [--backoff-ms N] [--backoff-cap-ms N]
@@ -45,12 +46,13 @@
 //! campaign. `repro transient` is the historical alias for
 //! `repro inject --kind transient`.
 //!
-//! `campaign` runs one standalone crash-safe campaign on `rspeed`:
-//! `--journal` write-ahead-journals every completed job to PATH,
-//! `--resume` picks a killed campaign back up from its journal, and
-//! `--deadline-ms` arms the per-job wall-clock watchdog. Configuration
-//! and journal errors are reported on stderr with a nonzero exit code
-//! instead of a panic backtrace.
+//! `campaign` runs one standalone crash-safe campaign in process — the
+//! same spec, defaults and flags as `submit` (`rspeed`'s integer unit
+//! unless told otherwise): `--journal` write-ahead-journals every
+//! completed job to PATH, `--resume` picks a killed campaign back up
+//! from its journal, and `--deadline-ms` arms the per-job wall-clock
+//! watchdog. Configuration and journal errors are reported on stderr
+//! with a nonzero exit code instead of a panic backtrace.
 //!
 //! `benchgate` is the CI bench-regression gate: it re-measures the gate
 //! campaigns and compares their deterministic fork/full cycle ratios
@@ -91,7 +93,8 @@
 
 use bench::config_from_env;
 use correlation::experiments::{
-    fig3, fig4, fig5, fig6, fig7_from_parts, simtime, table1, ExperimentConfig, TemporalStudy,
+    fig3, fig4, fig5, fig6, fig7_from_parts, fig7_scatter, simtime, table1, ExperimentConfig, Fig3,
+    FigCampaign, TemporalStudy,
 };
 use correlation::extensions::{
     bridging_study, eq1_ablation, inject_study, iss_baseline, latent_study, transient_study,
@@ -99,18 +102,16 @@ use correlation::extensions::{
 use fault_inject::wire::{kind_from_token, kind_to_token, target_from_token, target_to_token};
 use fault_inject::{
     Campaign, CorrelationReport, CorrelationSpec, DatasetSelection, InjectionInstant,
-    PredictRequest, SafetyConfig, StaticAnalysis, Target,
+    PredictRequest, StaticAnalysis, Target,
 };
 use leon3_model::{Leon3, Leon3Config};
 use rtl_sim::FaultKind;
-use sparc_iss::{Iss, IssConfig, RunOutcome};
 use std::path::PathBuf;
-use std::time::Duration;
 use verifd::{
     client, CampaignSpec, CoordinatorConfig, Runner, RunnerConfig, Server, ServerConfig,
     RUNNER_FLAGS, SERVER_FLAGS,
 };
-use workloads::{Benchmark, Params};
+use workloads::{profile, Benchmark, Params};
 
 /// Default address the service verbs talk to (the `verifd` binary's
 /// own default bind).
@@ -120,68 +121,37 @@ const DEFAULT_ADDR: &str = "127.0.0.1:4612";
 /// default bind — one port above the plain service).
 const DEFAULT_FLEET_ADDR: &str = "127.0.0.1:4613";
 
-/// Run the standalone crash-safe campaign subcommand. Never panics on
-/// user mistakes: bad flags exit 2, campaign/journal errors exit 1.
+/// Run the standalone crash-safe campaign subcommand: the campaign spec
+/// `repro submit` sends, run in process. Never panics on user mistakes:
+/// bad flags exit 2, campaign/journal errors exit 1.
 fn run_campaign(config: &ExperimentConfig, args: &[String]) {
-    let mut target = Target::IntegerUnit;
-    let mut journal: Option<PathBuf> = None;
-    let mut resume: Option<PathBuf> = None;
-    let mut deadline_ms: Option<u64> = None;
-    let mut safety = SafetyConfig::default();
-    let mut threads = config.threads;
-    let usage = "usage: repro campaign [iu|cmem] [--journal PATH] [--resume PATH] \
+    let usage = "usage: repro campaign [iu|cmem|whole] [--benchmark NAME] \
+                 [--sample N --seed N] [--exhaustive] [--injection-cycle N] \
+                 [--injection-fraction F] [--shard I/N] [--journal PATH] [--resume PATH] \
                  [--deadline-ms N] [--lockstep-window N] [--parity] [--watchdog-cycles N] \
                  [--threads N]";
+    let mut spec = submit_spec(config);
+    let mut journal: Option<PathBuf> = None;
+    let mut resume: Option<PathBuf> = None;
+    let mut threads = config.threads;
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
-        let mut value = |flag: &str| {
-            iter.next()
-                .cloned()
-                .unwrap_or_else(|| usage_error(format!("`{flag}` needs a value"), usage))
-        };
-        let parse_u64 = |flag: &str, raw: String| -> u64 {
-            raw.parse().unwrap_or_else(|_| {
-                usage_error(format!("`{flag}` needs an integer, got `{raw}`"), usage)
-            })
-        };
+        let mut value = |flag: &str| flag_value(&mut iter, flag, usage);
         match arg.as_str() {
-            "iu" => target = Target::IntegerUnit,
-            "cmem" => target = Target::CacheMemory,
             "--journal" => journal = Some(PathBuf::from(value("--journal"))),
             "--resume" => resume = Some(PathBuf::from(value("--resume"))),
-            "--deadline-ms" => {
-                let raw = value("--deadline-ms");
-                deadline_ms = Some(parse_u64("--deadline-ms", raw));
-            }
-            "--lockstep-window" => {
-                let raw = value("--lockstep-window");
-                safety.lockstep_window = Some(parse_u64("--lockstep-window", raw));
-            }
-            "--parity" => safety.parity = true,
-            "--watchdog-cycles" => {
-                let raw = value("--watchdog-cycles");
-                safety.watchdog_cycles = Some(parse_u64("--watchdog-cycles", raw));
-            }
             "--threads" => {
-                let raw = value("--threads");
-                let n = parse_u64("--threads", raw);
-                if n == 0 {
+                threads = parse_usize("--threads", value("--threads"), usage);
+                if threads == 0 {
                     usage_error("`--threads` must be at least 1", usage);
                 }
-                threads = n as usize;
             }
+            other if spec_flag(&mut spec, config, other, &mut value, usage) => {}
             other => usage_error(format!("unknown campaign argument `{other}`"), usage),
         }
     }
-    let safety_armed = safety.any_enabled();
-    let program = Benchmark::Rspeed.program(&Params::default());
-    let mut campaign = Campaign::new(program, target)
-        .with_sample(config.sample_per_campaign, config.seed)
-        .with_injection_fraction(0.05)
-        .with_safety(safety);
-    if let Some(ms) = deadline_ms {
-        campaign = campaign.with_deadline(Duration::from_millis(ms));
-    }
+    let safety_armed = spec.safety.any_enabled();
+    let campaign = spec.to_campaign();
     let outcome = match (&resume, &journal) {
         (Some(path), _) => {
             eprintln!("[repro] resuming campaign from {}", path.display());
@@ -232,16 +202,7 @@ fn run_inject(config: &ExperimentConfig, args: &[String]) {
     let mut targets: Vec<fault_inject::AttackTarget> = Vec::new();
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
-        let mut value = |flag: &str| {
-            iter.next()
-                .cloned()
-                .unwrap_or_else(|| usage_error(format!("`{flag}` needs a value"), usage))
-        };
-        let parse_u64 = |flag: &str, raw: String| -> u64 {
-            raw.parse().unwrap_or_else(|_| {
-                usage_error(format!("`{flag}` needs an integer, got `{raw}`"), usage)
-            })
-        };
+        let mut value = |flag: &str| flag_value(&mut iter, flag, usage);
         match arg.as_str() {
             "--kind" => kind_token = value("--kind"),
             "--level" => {
@@ -251,15 +212,15 @@ fn run_inject(config: &ExperimentConfig, args: &[String]) {
                     raw => usage_error(format!("`--level` is 0 or 1, got `{raw}`"), usage),
                 }
             }
-            "--period" => period = parse_u64("--period", value("--period")),
-            "--duty" => duty = parse_u64("--duty", value("--duty")),
-            "--phase" => phase = parse_u64("--phase", value("--phase")),
+            "--period" => period = parse_usize(arg, value(arg), usage) as u64,
+            "--duty" => duty = parse_usize(arg, value(arg), usage) as u64,
+            "--phase" => phase = parse_usize(arg, value(arg), usage) as u64,
             "--flips" => {
-                let raw = parse_u64("--flips", value("--flips"));
+                let raw = parse_usize(arg, value(arg), usage) as u64;
                 flips = u32::try_from(raw)
                     .unwrap_or_else(|_| usage_error("`--flips` is out of range", usage));
             }
-            "--spacing" => spacing = parse_u64("--spacing", value("--spacing")),
+            "--spacing" => spacing = parse_usize(arg, value(arg), usage) as u64,
             "--targets" => match fault_inject::AttackTarget::parse_list(&value("--targets")) {
                 Ok(list) => targets = list,
                 Err(e) => usage_error(e, usage),
@@ -313,9 +274,9 @@ fn serve(args: &[String], base: ServerConfig, usage: &str) {
     }
 }
 
-/// The campaign `repro submit` and `repro fleet submit` start from:
-/// `repro campaign`'s sizing — sampled sites and the 5% injection
-/// instant — on `rspeed`'s integer unit.
+/// The campaign `repro campaign`, `repro submit` and `repro fleet
+/// submit` start from: sampled sites and the 5% injection instant on
+/// `rspeed`'s integer unit.
 fn submit_spec(config: &ExperimentConfig) -> CampaignSpec {
     let mut spec = CampaignSpec::new(Benchmark::Rspeed, Target::IntegerUnit);
     spec.sample = Some((config.sample_per_campaign, config.seed));
@@ -323,8 +284,9 @@ fn submit_spec(config: &ExperimentConfig) -> CampaignSpec {
     spec
 }
 
-/// Apply one campaign-spec flag, shared by `repro submit` and
-/// `repro fleet submit`; `false` when `arg` is not one. Bad values exit 2.
+/// Apply one campaign-spec flag, shared by `repro campaign`,
+/// `repro submit` and `repro fleet submit`; `false` when `arg` is not
+/// one. Bad values exit 2.
 fn spec_flag(
     spec: &mut CampaignSpec,
     config: &ExperimentConfig,
@@ -421,11 +383,7 @@ fn run_submit(config: &ExperimentConfig, args: &[String]) {
     let mut json = false;
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
-        let mut value = |flag: &str| {
-            iter.next()
-                .cloned()
-                .unwrap_or_else(|| usage_error(format!("`{flag}` needs a value"), usage))
-        };
+        let mut value = |flag: &str| flag_value(&mut iter, flag, usage);
         match arg.as_str() {
             "--addr" => addr = value("--addr"),
             "--detach" => detach = true,
@@ -473,12 +431,7 @@ fn run_merge(args: &[String]) {
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "--addr" => {
-                addr = iter
-                    .next()
-                    .cloned()
-                    .unwrap_or_else(|| usage_error("`--addr` needs a value", usage));
-            }
+            "--addr" => addr = flag_value(&mut iter, arg, usage),
             "--json" => json = true,
             raw => match raw.parse::<u64>() {
                 Ok(id) => ids.push(id),
@@ -588,11 +541,7 @@ fn fleet_submit(config: &ExperimentConfig, args: &[String]) {
     let mut json = false;
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
-        let mut value = |flag: &str| {
-            iter.next()
-                .cloned()
-                .unwrap_or_else(|| usage_error(format!("`{flag}` needs a value"), usage))
-        };
+        let mut value = |flag: &str| flag_value(&mut iter, flag, usage);
         match arg.as_str() {
             "--addr" => addr = value("--addr"),
             "--shards" => {
@@ -649,12 +598,7 @@ fn fleet_status(args: &[String]) {
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "--addr" => {
-                addr = iter
-                    .next()
-                    .cloned()
-                    .unwrap_or_else(|| usage_error("`--addr` needs a value", usage));
-            }
+            "--addr" => addr = flag_value(&mut iter, arg, usage),
             "--watch" => watch = true,
             "--json" => json = true,
             raw => match raw.parse::<u64>() {
@@ -725,11 +669,7 @@ fn run_correlate(config: &ExperimentConfig, args: &[String]) {
     let mut json = false;
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
-        let mut value = |flag: &str| {
-            iter.next()
-                .cloned()
-                .unwrap_or_else(|| usage_error(format!("`{flag}` needs a value"), usage))
-        };
+        let mut value = |flag: &str| flag_value(&mut iter, flag, usage);
         match arg.as_str() {
             "--addr" => addr = Some(value("--addr")),
             "--benchmarks" => {
@@ -885,11 +825,7 @@ fn run_predict(args: &[String]) {
     let mut json = false;
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
-        let mut value = |flag: &str| {
-            iter.next()
-                .cloned()
-                .unwrap_or_else(|| usage_error(format!("`{flag}` needs a value"), usage))
-        };
+        let mut value = |flag: &str| flag_value(&mut iter, flag, usage);
         match arg.as_str() {
             "--addr" => addr = value("--addr"),
             "--benchmark" => benchmark = Some(value("--benchmark")),
@@ -944,15 +880,7 @@ fn run_predict(args: &[String]) {
         // predict its RTL failure probability from diversity alone.
         let subject = Benchmark::by_name(&name)
             .unwrap_or_else(|| usage_error(format!("unknown benchmark `{name}`"), usage));
-        let mut run = Iss::new(IssConfig::default());
-        run.load(&subject.program(&Params::default()));
-        let outcome = run.run(200_000_000);
-        if !matches!(outcome, RunOutcome::Halted { .. }) {
-            eprintln!("[repro] {name} did not halt on the ISS: {outcome:?}");
-            std::process::exit(1);
-        }
-        let entries: Vec<(String, u64)> = run
-            .stats()
+        let entries: Vec<(String, u64)> = profile(&subject.program(&Params::default()))
             .named_histogram()
             .into_iter()
             .map(|(mnemonic, count)| (mnemonic.to_string(), count))
@@ -1012,11 +940,7 @@ fn run_benchgate(config: &ExperimentConfig, args: &[String]) {
     let mut threads = config.threads;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .cloned()
-                .unwrap_or_else(|| usage_error(format!("`{flag}` needs a value"), USAGE))
-        };
+        let mut value = |flag: &str| flag_value(&mut it, flag, USAGE);
         match arg.as_str() {
             "--baseline" => baseline = value("--baseline"),
             "--checkpoint-baseline" => checkpoint_baseline = value("--checkpoint-baseline"),
@@ -1084,11 +1008,7 @@ fn run_netcheck(config: &ExperimentConfig, args: &[String]) {
     let mut threads = config.threads;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .cloned()
-                .unwrap_or_else(|| usage_error(format!("`{flag}` needs a value"), USAGE))
-        };
+        let mut value = |flag: &str| flag_value(&mut it, flag, USAGE);
         match arg.as_str() {
             "--deny" => {
                 for check in value("--deny").split(',') {
@@ -1227,13 +1147,27 @@ fn run_netcheck(config: &ExperimentConfig, args: &[String]) {
     }
 }
 
-/// Parse a flag value as a non-negative integer or exit 2.
+/// Print Figure 7: the scatter plot, then the fit through the same
+/// renderer `repro correlate` prints its domains with.
+fn print_fig7(f5: &FigCampaign, f3: &Fig3) {
+    let fit = fig7_from_parts(f5, f3);
+    print!("{}{fit}", fig7_scatter(&fit));
+}
+
 /// Report a usage error and exit 2.
 fn usage_error(message: impl std::fmt::Display, usage: &str) -> ! {
     eprintln!("{message}\n{usage}");
     std::process::exit(2);
 }
 
+/// The value after `flag`, or exit 2 when the arguments end first.
+fn flag_value(args: &mut std::slice::Iter<'_, String>, flag: &str, usage: &str) -> String {
+    args.next()
+        .cloned()
+        .unwrap_or_else(|| usage_error(format!("`{flag}` needs a value"), usage))
+}
+
+/// Parse a flag value as a non-negative integer or exit 2.
 fn parse_usize(flag: &str, raw: String, usage: &str) -> usize {
     raw.parse()
         .unwrap_or_else(|_| usage_error(format!("`{flag}` needs an integer, got `{raw}`"), usage))
@@ -1256,11 +1190,7 @@ fn main() {
             print!("{}", TemporalStudy::from_fig5(&f5));
         }
         "fig6" => print!("{}", fig6(&config)),
-        "fig7" => {
-            let f5 = fig5(&config);
-            let f3 = fig3(&config);
-            print!("{}", fig7_from_parts(&f5, &f3));
-        }
+        "fig7" => print_fig7(&fig5(&config), &fig3(&config)),
         "temporal" => {
             let f5 = fig5(&config);
             print!("{}", TemporalStudy::from_fig5(&f5));
@@ -1343,7 +1273,7 @@ fn main() {
             println!();
             print!("{}", fig6(&config));
             println!();
-            print!("{}", fig7_from_parts(&f5, &f3));
+            print_fig7(&f5, &f3);
             println!();
             print!("{}", simtime());
         }

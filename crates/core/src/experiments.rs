@@ -3,15 +3,14 @@
 //! `repro` binary renders as text; `Display` implementations produce the
 //! paper-style charts.
 
-use crate::model::{diversity_of, DiversityModel};
 use analysis::{grouped_bar_chart, scatter_plot, Series};
-use fault_inject::{Campaign, CampaignResult, Target};
-use leon3_model::{Leon3, Leon3Config};
+use fault_inject::{Campaign, CampaignResult, DomainFit, FaultOutcome, SweepPoint, Target};
+use leon3_model::{cycles_to_us, Leon3, Leon3Config};
 use rtl_sim::FaultKind;
 use sparc_iss::{Iss, IssConfig, RunOutcome};
 use std::fmt;
 use std::time::Instant;
-use workloads::{characterize, Benchmark, Characterization, Params};
+use workloads::{characterize, profile, Benchmark, Characterization, Params};
 
 /// Sizing and determinism knobs shared by all experiment drivers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,15 +24,6 @@ pub struct ExperimentConfig {
 }
 
 impl ExperimentConfig {
-    /// Small sample sizes for smoke tests and CI.
-    pub fn quick() -> ExperimentConfig {
-        ExperimentConfig {
-            sample_per_campaign: 60,
-            seed: 0xDAC_2015,
-            threads: default_threads(),
-        }
-    }
-
     /// The sizes used for the recorded EXPERIMENTS.md results.
     pub fn full() -> ExperimentConfig {
         ExperimentConfig {
@@ -148,7 +138,7 @@ pub fn fig3(config: &ExperimentConfig) -> Fig3 {
             .iter()
             .map(|&b| {
                 let program = b.excerpt(0);
-                let diversity = diversity_of(&program);
+                let diversity = profile(&program).diversity();
                 // Excerpt runs are two orders of magnitude shorter than
                 // full benchmarks, so Fig. 3 affords a much denser sample —
                 // needed to resolve differences of a few percentage points.
@@ -222,15 +212,28 @@ pub fn fig4(config: &ExperimentConfig) -> Fig4 {
             .with_sample(config.sample_per_campaign, config.seed)
             .with_injection_fraction(INJECTION_FRACTION)
             .run(config.threads);
-        let summary = result.summary(FaultKind::StuckAt1);
-        pf.push(summary.pf());
-        lat.push(summary.max_latency_us.unwrap_or(0.0));
+        pf.push(result.pf(FaultKind::StuckAt1));
+        lat.push(max_propagation_latency_us(&result, FaultKind::StuckAt1));
     }
     Fig4 {
         iterations,
         pf,
         max_latency_us: lat,
     }
+}
+
+/// The longest fault-to-failure propagation latency (µs) of one fault
+/// model, over the failures that reached the off-core boundary: a hang
+/// carries the cycles until the run budget ran out, which measures the
+/// budget rather than propagation, so hangs are left out. 0 when no
+/// failure propagated.
+fn max_propagation_latency_us(result: &CampaignResult, kind: FaultKind) -> f64 {
+    result
+        .records_for(kind)
+        .filter(|r| !matches!(r.outcome, FaultOutcome::Hang { .. }))
+        .filter_map(|r| r.outcome.latency_cycles())
+        .map(cycles_to_us)
+        .fold(0.0, f64::max)
 }
 
 impl fmt::Display for Fig4 {
@@ -297,7 +300,7 @@ pub fn fig_campaign(config: &ExperimentConfig, target: Target) -> FigCampaign {
         .chain(&Benchmark::TABLE1_SYNTHETIC)
         .map(|&b| {
             let program = b.program(&Params::default());
-            let diversity = diversity_of(&program);
+            let diversity = profile(&program).diversity();
             let result = Campaign::new(program, target)
                 .with_sample(config.sample_per_campaign, config.seed)
                 .with_injection_fraction(INJECTION_FRACTION)
@@ -328,26 +331,6 @@ pub fn fig6(config: &ExperimentConfig) -> FigCampaign {
     fig_campaign(config, Target::CacheMemory)
 }
 
-impl FigCampaign {
-    /// Spread of Pf across the automotive benchmarks (pp), per fault
-    /// model; the paper observes near-flat automotive bars.
-    pub fn automotive_spread_pp(&self, kind: FaultKind) -> f64 {
-        let idx = FaultKind::ALL
-            .iter()
-            .position(|&k| k == kind)
-            .expect("known kind");
-        let values: Vec<f64> = self
-            .rows
-            .iter()
-            .filter(|r| r.benchmark.kind() == workloads::Kind::Automotive)
-            .map(|r| r.pf[idx])
-            .collect();
-        let max = values.iter().copied().fold(0.0, f64::max);
-        let min = values.iter().copied().fold(1.0, f64::min);
-        (max - min) * 100.0
-    }
-}
-
 impl fmt::Display for FigCampaign {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let cats: Vec<&str> = self.rows.iter().map(|r| r.benchmark.name()).collect();
@@ -376,90 +359,60 @@ impl fmt::Display for FigCampaign {
 
 // ---------------------------------------------------------------- Figure 7
 
-/// One point of the Fig. 7 correlation plot.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Fig7Point {
-    /// The workload's label.
-    pub label: String,
-    /// Its instruction diversity.
-    pub diversity: f64,
-    /// Its measured Pf (stuck-at-1 at IU).
-    pub pf: f64,
-}
-
-/// The paper's Figure 7: Pf vs instruction diversity with the logarithmic
-/// fit.
-#[derive(Debug, Clone)]
-pub struct Fig7 {
-    /// All measured points (full benchmarks plus excerpts).
-    pub points: Vec<Fig7Point>,
-    /// The calibrated `Pf = a·ln(D) + b` model.
-    pub model: DiversityModel,
-}
-
-/// Build Figure 7 from already-run parts: the IU campaign (Fig. 5) and
-/// the excerpt study (Fig. 3), exactly as the paper combines them.
+/// Build the paper's Figure 7 from already-run parts, exactly as the
+/// paper combines them: the six Fig. 5 benchmarks plus the six Fig. 3
+/// excerpts, twelve `(D, Pf)` points of stuck-at-1 at IU nodes, fitted
+/// to `Pf = a·ln(D) + b` by the same fitter a correlation sweep uses.
 ///
 /// # Panics
 ///
-/// Panics if fewer than two distinct diversity values are available — the
-/// callers always pass six benchmarks plus six excerpts.
-pub fn fig7_from_parts(fig5: &FigCampaign, fig3: &Fig3) -> Fig7 {
+/// Panics if `fig5` is not an IU campaign, or if fewer than two distinct
+/// diversity values are available — the callers always pass six
+/// benchmarks plus six excerpts.
+pub fn fig7_from_parts(fig5: &FigCampaign, fig3: &Fig3) -> DomainFit {
     assert_eq!(
         fig5.target,
         Target::IntegerUnit,
         "Fig 7 correlates IU injections"
     );
-    let sa1 = FaultKind::ALL
+    let benchmarks = fig5.rows.iter().map(|r| SweepPoint {
+        label: r.benchmark.name().to_string(),
+        diversity: r.diversity as u64,
+        pf: r.result.pf(FaultKind::StuckAt1),
+    });
+    let excerpts = fig3
+        .subset_a
         .iter()
-        .position(|&k| k == FaultKind::StuckAt1)
-        .expect("sa1");
-    let mut points: Vec<Fig7Point> = fig5
-        .rows
-        .iter()
-        .map(|r| Fig7Point {
-            label: r.benchmark.name().to_string(),
-            diversity: r.diversity as f64,
-            pf: r.pf[sa1],
-        })
-        .collect();
-    for e in fig3.subset_a.iter().chain(&fig3.subset_b) {
-        points.push(Fig7Point {
+        .chain(&fig3.subset_b)
+        .map(|e| SweepPoint {
             label: format!("{}-excerpt", e.benchmark.name()),
-            diversity: e.diversity as f64,
+            diversity: e.diversity as u64,
             pf: e.pf,
         });
-    }
-    let calibration: Vec<(f64, f64)> = points.iter().map(|p| (p.diversity, p.pf)).collect();
-    let model = DiversityModel::fit(&calibration).expect("enough distinct diversities");
-    Fig7 { points, model }
+    DomainFit::fit(
+        Target::IntegerUnit,
+        FaultKind::StuckAt1,
+        benchmarks.chain(excerpts).collect(),
+    )
+    .expect("enough distinct diversities")
 }
 
-/// Run Figure 7 end to end (runs Fig. 5 and Fig. 3 internally).
-pub fn fig7(config: &ExperimentConfig) -> Fig7 {
-    let f5 = fig5(config);
-    let f3 = fig3(config);
-    fig7_from_parts(&f5, &f3)
-}
-
-impl fmt::Display for Fig7 {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let pts: Vec<(f64, f64)> = self.points.iter().map(|p| (p.diversity, p.pf)).collect();
-        let reg = self.model.regression();
-        let fit_fn = move |x: f64| reg.predict(x);
-        write!(
-            f,
-            "{}",
-            scatter_plot(
-                "Fig 7: Pf vs instruction diversity (SA1 @ IU)",
-                &pts,
-                Some(&fit_fn),
-                16,
-                60
-            )
-        )?;
-        writeln!(f, "fit: {}", self.model)
-    }
+/// Figure 7's scatter plot of a fitted domain: its calibration points
+/// and the fitted curve.
+pub fn fig7_scatter(fit: &DomainFit) -> String {
+    let points: Vec<(f64, f64)> = fit
+        .points
+        .iter()
+        .map(|p| (p.diversity as f64, p.pf))
+        .collect();
+    let regression = fit.model.regression();
+    scatter_plot(
+        "Fig 7: Pf vs instruction diversity (SA1 @ IU)",
+        &points,
+        Some(&|d: f64| regression.predict(d)),
+        16,
+        60,
+    )
 }
 
 // ------------------------------------------------- Temporal behaviour (§4.2)
@@ -648,6 +601,39 @@ mod tests {
             assert_eq!(e.diversity, 11);
         }
         let _ = f3.to_string();
+    }
+
+    #[test]
+    fn fig4_latency_leaves_out_hangs() {
+        // At this sizing a few stuck-at-1 faults hang rspeed; a hang's
+        // latency is the run budget, so it must not set Fig. 4(b).
+        let config = ExperimentConfig {
+            sample_per_campaign: 60,
+            ..ExperimentConfig::full()
+        };
+        let kind = FaultKind::StuckAt1;
+        let f4 = fig4(&config);
+        for (&iterations, &latency) in f4.iterations.iter().zip(&f4.max_latency_us) {
+            let program = Benchmark::Rspeed.program(&Params::with_iterations(iterations));
+            let result = Campaign::new(program, Target::IntegerUnit)
+                .with_kinds(&[kind])
+                .with_sample(config.sample_per_campaign, config.seed)
+                .with_injection_fraction(INJECTION_FRACTION)
+                .run(config.threads);
+            assert!(result.summary(kind).hangs > 0, "no hang at this sizing");
+            let propagation = result
+                .records_for(kind)
+                .filter(|r| {
+                    matches!(
+                        r.outcome,
+                        FaultOutcome::Failure { .. } | FaultOutcome::ErrorModeStop { .. }
+                    )
+                })
+                .filter_map(|r| r.outcome.latency_cycles())
+                .map(cycles_to_us)
+                .fold(0.0, f64::max);
+            assert_eq!(latency, propagation, "rspeed{iterations}");
+        }
     }
 
     #[test]

@@ -13,8 +13,7 @@
 //!    as a predictor against the single global-diversity model.
 
 use crate::experiments::{ExperimentConfig, FigCampaign};
-use crate::model::{area_weights, diversity_of, unit_diversity_of, weighted_pf, DiversityModel};
-use analysis::pearson;
+use analysis::{pearson, CorrelationPoint, FittedModel};
 use fault_inject::wire::kind_to_token;
 use fault_inject::{
     arch_pf, bridge_pf, AttackTarget, BridgingCampaign, Campaign, InjectionInstant, IssCampaign,
@@ -26,7 +25,7 @@ use rtl_sim::FaultKind;
 use sparc_isa::Unit;
 use std::collections::BTreeMap;
 use std::fmt;
-use workloads::{Benchmark, Params};
+use workloads::{profile, Benchmark, Params};
 
 // --------------------------------------------------------------- Transient
 
@@ -421,6 +420,44 @@ impl fmt::Display for IssBaseline {
 
 // ------------------------------------------------------------ Eq.1 ablation
 
+/// The `α_m` weights of the paper's Eq. 1: each unit's fraction of the
+/// processor's injectable nodes (the paper's area proxy), over the units
+/// selected by `filter`.
+pub fn area_weights(cpu: &Leon3, filter: impl Fn(Unit) -> bool) -> BTreeMap<Unit, f64> {
+    let mut counts: BTreeMap<Unit, usize> = BTreeMap::new();
+    for (_, meta) in cpu.pool().iter() {
+        if filter(meta.tag) {
+            *counts.entry(meta.tag).or_insert(0) += usize::from(meta.width);
+        }
+    }
+    let total: usize = counts.values().sum();
+    counts
+        .into_iter()
+        .map(|(u, c)| {
+            (
+                u,
+                if total == 0 {
+                    0.0
+                } else {
+                    c as f64 / total as f64
+                },
+            )
+        })
+        .collect()
+}
+
+/// Eq. 1 of the paper: `Pf = Σ_m α_m · Pf_m`.
+///
+/// Units present in `per_unit_pf` but not in `weights` (or vice versa)
+/// contribute nothing, matching the paper's treatment of unexercised
+/// units.
+pub fn weighted_pf(weights: &BTreeMap<Unit, f64>, per_unit_pf: &BTreeMap<Unit, f64>) -> f64 {
+    weights
+        .iter()
+        .filter_map(|(u, &alpha)| per_unit_pf.get(u).map(|&pf| alpha * pf))
+        .sum()
+}
+
 /// Leave-one-out prediction errors of the global-diversity model vs the
 /// per-unit Eq. 1 model.
 #[derive(Debug, Clone)]
@@ -460,31 +497,38 @@ pub fn eq1_ablation(fig5: &FigCampaign) -> Eq1Ablation {
     let cpu = Leon3::new(Leon3Config::default());
     let alphas = area_weights(&cpu, sparc_isa::Unit::is_iu);
 
-    // Per-benchmark measurements.
+    // Per-benchmark measurements: one ISS run yields both `D` and `D_m`.
     let programs: Vec<_> = fig5
         .rows
         .iter()
         .map(|r| {
-            let program = r.benchmark.program(&Params::default());
-            let d = diversity_of(&program) as f64;
-            let dm = unit_diversity_of(&program);
+            let stats = profile(&r.benchmark.program(&Params::default()));
+            let dm: BTreeMap<Unit, usize> = Unit::ALL
+                .into_iter()
+                .map(|u| (u, stats.unit_diversity(u)))
+                .collect();
             let pfm = r.result.pf_per_unit(FaultKind::StuckAt1);
-            (r.benchmark, d, dm, r.pf[sa1], pfm)
+            (r.benchmark, stats.diversity() as f64, dm, r.pf[sa1], pfm)
         })
         .collect();
+    let point = |bench: Benchmark, diversity: f64, pf: f64| CorrelationPoint {
+        label: bench.name().to_string(),
+        diversity,
+        pf,
+    };
 
     let rows = programs
         .iter()
         .enumerate()
         .map(|(held, &(bench, d, ref dm, measured, _))| {
             // Global model on the remaining benchmarks.
-            let global_points: Vec<(f64, f64)> = programs
+            let global_points: Vec<CorrelationPoint> = programs
                 .iter()
                 .enumerate()
                 .filter(|&(i, _)| i != held)
-                .map(|(_, &(_, d, _, pf, _))| (d, pf))
+                .map(|(_, &(b, d, _, pf, _))| point(b, d, pf))
                 .collect();
-            let global = DiversityModel::fit(&global_points).expect("fit global");
+            let global = FittedModel::fit(&global_points).expect("fit global");
             let global_pred = global.predict(d);
 
             // Eq. 1: one model per unit, on (D_m, Pf_m) of the remaining
@@ -492,23 +536,23 @@ pub fn eq1_ablation(fig5: &FigCampaign) -> Eq1Ablation {
             // mean Pf_m.
             let mut per_unit_pred: BTreeMap<Unit, f64> = BTreeMap::new();
             for unit in Unit::IU {
-                let pts: Vec<(f64, f64)> = programs
+                let pts: Vec<CorrelationPoint> = programs
                     .iter()
                     .enumerate()
                     .filter(|&(i, _)| i != held)
-                    .filter_map(|(_, (_, _, dms, _, pfms))| {
+                    .filter_map(|(_, (b, _, dms, _, pfms))| {
                         let dm = *dms.get(&unit)? as f64;
                         let pfm = *pfms.get(&unit)?;
-                        (dm > 0.0).then_some((dm, pfm))
+                        (dm > 0.0).then(|| point(*b, dm, pfm))
                     })
                     .collect();
                 if pts.is_empty() {
                     continue;
                 }
                 let here = dm.get(&unit).copied().unwrap_or(0) as f64;
-                let prediction = match DiversityModel::fit(&pts) {
+                let prediction = match FittedModel::fit(&pts) {
                     Ok(model) if here > 0.0 => model.predict(here),
-                    _ => pts.iter().map(|p| p.1).sum::<f64>() / pts.len() as f64,
+                    _ => pts.iter().map(|p| p.pf).sum::<f64>() / pts.len() as f64,
                 };
                 per_unit_pred.insert(unit, prediction);
             }
@@ -616,6 +660,31 @@ mod tests {
             assert!((0.0..=1.0).contains(&rtl));
         }
         let _ = baseline.to_string();
+    }
+
+    #[test]
+    fn area_weights_sum_to_one() {
+        let cpu = Leon3::new(Leon3Config::default());
+        let iu = area_weights(&cpu, Unit::is_iu);
+        let total: f64 = iu.values().sum();
+        assert!((total - 1.0).abs() < 1e-9);
+        // The register file dominates the IU.
+        assert!(iu[&Unit::RegFile] > 0.5);
+        let cmem = area_weights(&cpu, Unit::is_cmem);
+        assert!(cmem[&Unit::DCacheData] > 0.3);
+    }
+
+    #[test]
+    fn weighted_pf_combines() {
+        let weights: BTreeMap<Unit, f64> = [(Unit::Fetch, 0.25), (Unit::RegFile, 0.75)]
+            .into_iter()
+            .collect();
+        let pf: BTreeMap<Unit, f64> =
+            [(Unit::Fetch, 0.4), (Unit::RegFile, 0.1), (Unit::Shift, 0.9)]
+                .into_iter()
+                .collect();
+        let combined = weighted_pf(&weights, &pf);
+        assert!((combined - (0.25 * 0.4 + 0.75 * 0.1)).abs() < 1e-12);
     }
 
     #[test]

@@ -7,27 +7,30 @@
 //! their order, count or input data — and is well captured by **instruction
 //! diversity** `D` (unique opcodes) through `Pf = a·ln(D) + b`.
 //!
-//! This crate assembles the full pipeline around that claim:
+//! This crate re-runs the paper's evaluation around that claim:
 //!
-//! * [`diversity_of`] / [`unit_diversity_of`] extract the ISS-side metric;
-//! * [`area_weights`] computes the `α_m` unit weights of the paper's Eq. 1
-//!   from the RTL model's injectable-node populations;
-//! * [`DiversityModel`] calibrates the log-fit on campaign measurements and
-//!   predicts `Pf` for unseen workloads ([`weighted_pf`] implements the
-//!   per-unit combination of Eq. 1);
 //! * [`experiments`] re-runs every table and figure of the paper's
-//!   evaluation section.
+//!   evaluation section. Fig. 7 ([`experiments::fig7_from_parts`]) fits
+//!   its twelve points with the same [`fault_inject::DomainFit`] a
+//!   [`fault_inject::CorrelationSpec`] sweep produces, over diversities
+//!   measured by [`workloads::profile`];
+//! * [`extensions`] goes beyond it — transient, bridging and dual-point
+//!   faults, register-file ISS injection, and the paper's Eq. 1
+//!   ([`extensions::area_weights`], [`extensions::weighted_pf`]) as a
+//!   per-unit predictor.
 //!
 //! # Example
 //!
 //! ```
-//! use correlation::DiversityModel;
+//! use fault_inject::{DomainFit, SweepPoint, Target};
+//! use rtl_sim::FaultKind;
 //!
-//! // Calibration points: (diversity, measured Pf).
-//! let points = [(8.0f64, 0.12), (11.0, 0.18), (18.0, 0.22), (47.0, 0.30)];
-//! let model = DiversityModel::fit(&points).unwrap();
-//! assert!(model.r_squared() > 0.9);
-//! let predicted = model.predict(30.0);
+//! // Calibration points: (label, diversity, measured Pf).
+//! let points = [("a", 8, 0.12), ("b", 11, 0.18), ("c", 18, 0.22), ("d", 47, 0.30)]
+//!     .map(|(label, diversity, pf)| SweepPoint { label: label.to_string(), diversity, pf });
+//! let fit = DomainFit::fit(Target::IntegerUnit, FaultKind::StuckAt1, points.to_vec()).unwrap();
+//! assert!(fit.model.r2 > 0.9);
+//! let predicted = fit.model.predict(30.0);
 //! assert!(predicted > 0.22 && predicted < 0.30);
 //! ```
 
@@ -36,8 +39,3 @@
 
 pub mod experiments;
 pub mod extensions;
-mod model;
-
-pub use model::{
-    area_weights, diversity_of, unit_diversity_of, weighted_pf, DiversityModel, ModelError,
-};

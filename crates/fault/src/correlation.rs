@@ -30,14 +30,13 @@ use crate::wire::{
     escape_json, kind_from_token, kind_to_token, merge_shards, target_from_token, target_to_token,
     Json, ShardResult,
 };
-use analysis::{CorrelationPoint, FittedModel};
+use analysis::{CorrelationPoint, FitError, FittedModel};
 use rtl_sim::FaultKind;
 use sparc_asm::Program;
 use sparc_isa::{Opcode, Unit};
-use sparc_iss::{Iss, IssConfig, RunOutcome};
 use std::fmt;
 use std::fmt::Write as _;
-use workloads::{Benchmark, Params, DATASETS};
+use workloads::{profile, Benchmark, Params, DATASETS};
 
 /// Which input datasets a sweep runs per benchmark (the paper's Fig. 3
 /// input-variability study ships three per automotive kernel).
@@ -111,16 +110,7 @@ impl CorrelationCell {
     /// Panics if the workload fails to halt within a generous budget —
     /// that is a workload bug, not a runtime condition.
     pub fn measure(&self) -> CellMeasurement {
-        let program = self.program();
-        let mut iss = Iss::new(IssConfig::default());
-        iss.load(&program);
-        let outcome = iss.run(200_000_000);
-        assert!(
-            matches!(outcome, RunOutcome::Halted { .. }),
-            "{} did not halt: {outcome:?}",
-            self.label()
-        );
-        let stats = iss.stats();
+        let stats = profile(&self.program());
         let unit_diversity: Vec<(String, u64)> = Unit::ALL
             .into_iter()
             .map(|unit| (unit.name().to_string(), stats.unit_diversity(unit) as u64))
@@ -745,7 +735,7 @@ fn fit_report(
     let mut domains = Vec::new();
     for (ti, &target) in spec.targets.iter().enumerate() {
         for &kind in &spec.kinds {
-            let points: Vec<SweepPoint> = cells
+            let points = cells
                 .iter()
                 .enumerate()
                 .map(|(ci, cell)| SweepPoint {
@@ -754,27 +744,13 @@ fn fit_report(
                     pf: merged[ci * spec.targets.len() + ti].pf(kind),
                 })
                 .collect();
-            let calibration: Vec<CorrelationPoint> = points
-                .iter()
-                .map(|p| CorrelationPoint {
-                    label: p.label.clone(),
-                    diversity: p.diversity as f64,
-                    pf: p.pf,
-                })
-                .collect();
-            let model = FittedModel::fit(&calibration).map_err(|e| {
+            domains.push(DomainFit::fit(target, kind, points).map_err(|e| {
                 format!(
                     "fit failed for {}/{}: {e:?}",
                     target_to_token(target),
                     kind_to_token(kind)
                 )
-            })?;
-            domains.push(DomainFit {
-                target,
-                kind,
-                model,
-                points,
-            });
+            })?);
         }
     }
     Ok(CorrelationReport {
@@ -807,6 +783,61 @@ pub struct DomainFit {
     pub model: FittedModel,
     /// The calibration points, in cell order.
     pub points: Vec<SweepPoint>,
+}
+
+impl DomainFit {
+    /// Fit `Pf = a·ln(D) + b` over one domain's calibration points (kept
+    /// in the given order).
+    ///
+    /// # Errors
+    ///
+    /// As [`FittedModel::fit`]: fewer than two points or degenerate
+    /// diversities.
+    pub fn fit(
+        target: Target,
+        kind: FaultKind,
+        points: Vec<SweepPoint>,
+    ) -> Result<DomainFit, FitError> {
+        let calibration: Vec<CorrelationPoint> = points
+            .iter()
+            .map(|p| CorrelationPoint {
+                label: p.label.clone(),
+                diversity: p.diversity as f64,
+                pf: p.pf,
+            })
+            .collect();
+        Ok(DomainFit {
+            target,
+            kind,
+            model: FittedModel::fit(&calibration)?,
+            points,
+        })
+    }
+}
+
+impl fmt::Display for DomainFit {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        writeln!(
+            f,
+            "{} @ {}: Pf = {:.4}·ln(D) {} {:.4}   (R² = {:.4}, n = {}, band ±{:.4})",
+            kind_to_token(self.kind),
+            target_to_token(self.target),
+            self.model.a,
+            if self.model.b < 0.0 { "-" } else { "+" },
+            self.model.b.abs(),
+            self.model.r2,
+            self.model.n,
+            self.model.band(),
+        )?;
+        for point in &self.points {
+            writeln!(
+                f,
+                "  {:>18}  D = {:>3}  Pf = {:.4}",
+                point.label, point.diversity, point.pf
+            )?;
+        }
+        Ok(())
+    }
 }
 
 /// The fitted output of a correlation sweep: every domain's model plus
@@ -952,28 +983,9 @@ impl CorrelationReport {
 
 impl fmt::Display for CorrelationReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for domain in &self.domains {
-            writeln!(
-                f,
-                "{} @ {}: Pf = {:.4}·ln(D) {} {:.4}   (R² = {:.4}, n = {}, band ±{:.4})",
-                kind_to_token(domain.kind),
-                target_to_token(domain.target),
-                domain.model.a,
-                if domain.model.b < 0.0 { "-" } else { "+" },
-                domain.model.b.abs(),
-                domain.model.r2,
-                domain.model.n,
-                domain.model.band(),
-            )?;
-            for point in &domain.points {
-                writeln!(
-                    f,
-                    "  {:>18}  D = {:>3}  Pf = {:.4}",
-                    point.label, point.diversity, point.pf
-                )?;
-            }
-        }
-        Ok(())
+        self.domains
+            .iter()
+            .try_for_each(|domain| write!(f, "{domain}"))
     }
 }
 

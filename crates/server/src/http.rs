@@ -6,6 +6,7 @@
 //! uses to stream campaign progress lines as shards land. That subset is
 //! all the campaign service needs, and it keeps the crate std-only.
 
+use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -13,6 +14,11 @@ use std::time::{Duration, Instant};
 /// Largest request body the server accepts (a merge of many shard ids is
 /// tiny; campaign specs are smaller still).
 pub const MAX_BODY: usize = 1 << 26;
+
+/// Largest request head — request line plus every header — the server
+/// reads; a longer head is refused before it is buffered (real requests
+/// send a few hundred bytes).
+pub const MAX_HEAD: usize = 16 << 10;
 
 /// One parsed request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -76,13 +82,13 @@ impl Write for Deadline<'_> {
 ///
 /// # Errors
 ///
-/// Fails on I/O errors, a malformed request line, a non-numeric or
-/// oversized `Content-Length`, or a body that is not UTF-8.
+/// Fails on I/O errors, a malformed request line, a request line plus
+/// headers longer than [`MAX_HEAD`], a non-numeric or oversized
+/// `Content-Length`, or a body that is not UTF-8.
 pub fn read_request(stream: impl Read) -> std::io::Result<Request> {
-    let bad = |reason: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, reason);
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    reader.read_line(&mut line)?;
+    let mut head_left = MAX_HEAD as u64;
+    let line = head_line(&mut reader, &mut head_left)?;
     let mut parts = line.split_whitespace();
     let method = parts.next().ok_or_else(|| bad("empty request line"))?;
     let path = parts
@@ -95,8 +101,8 @@ pub fn read_request(stream: impl Read) -> std::io::Result<Request> {
     };
     let mut content_length = 0usize;
     loop {
-        let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 {
+        let header = head_line(&mut reader, &mut head_left)?;
+        if header.is_empty() {
             return Err(bad("connection closed inside headers"));
         }
         let header = header.trim_end();
@@ -124,6 +130,24 @@ pub fn read_request(stream: impl Read) -> std::io::Result<Request> {
         body: String::from_utf8(body).map_err(|_| bad("body is not UTF-8"))?,
         ..request
     })
+}
+
+/// An `InvalidData` error: the peer sent something that is not a
+/// request this server reads.
+fn bad(reason: &str) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidData, reason)
+}
+
+/// Read one line of the request head, newline included, charging it to
+/// the `left` bytes the head may still take. Empty at end of stream.
+fn head_line(reader: &mut impl BufRead, left: &mut u64) -> std::io::Result<String> {
+    let mut line = String::new();
+    let read = reader.by_ref().take(*left).read_line(&mut line)?;
+    *left -= read as u64;
+    if *left == 0 && !line.ends_with('\n') {
+        return Err(bad("request head too large"));
+    }
+    Ok(line)
 }
 
 /// The reason phrase for the status codes the service emits.
@@ -161,19 +185,22 @@ pub fn write_response_with(
     headers: &[(&str, &str)],
     body: &str,
 ) -> std::io::Result<()> {
-    let mut head = format!("HTTP/1.1 {status} {}\r\n", reason(status));
+    // One write for head and body: a reply split in two can lose its
+    // body when the server closes on a request it did not read to the
+    // end (the close resets the connection before the second segment
+    // leaves).
+    let mut reply = String::with_capacity(160 + body.len());
+    let _ = write!(reply, "HTTP/1.1 {status} {}\r\n", reason(status));
     for (name, value) in headers {
-        let _ = std::fmt::Write::write_fmt(&mut head, format_args!("{name}: {value}\r\n"));
+        let _ = write!(reply, "{name}: {value}\r\n");
     }
-    let _ = std::fmt::Write::write_fmt(
-        &mut head,
-        format_args!(
-            "content-type: application/json\r\ncontent-length: {}\r\nconnection: close\r\n\r\n",
-            body.len()
-        ),
+    let _ = write!(
+        reply,
+        "content-type: application/json\r\ncontent-length: {}\r\nconnection: close\r\n\r\n",
+        body.len()
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
+    reply.push_str(body);
+    stream.write_all(reply.as_bytes())?;
     stream.flush()
 }
 

@@ -428,6 +428,31 @@ fn deep_json_body_is_refused_and_the_server_survives() {
 }
 
 #[test]
+fn an_oversized_request_head_is_refused_and_the_server_survives() {
+    use std::io::{Read as _, Write as _};
+    let (server, addr) = start(0, None);
+    // 1 MiB in one header line: a reader without a cap on the request
+    // head buffers all of it, and the request deadline allows ~1.5 GB.
+    let head = format!(
+        "GET /healthz HTTP/1.1\r\nx-big: {}\r\n\r\n",
+        "a".repeat(1 << 20)
+    );
+    let mut stream = std::net::TcpStream::connect(&addr).expect("connect");
+    // The server answers and closes before taking every byte, so the
+    // tail of this write may be refused.
+    let _ = stream.write_all(head.as_bytes());
+    let mut reply = String::new();
+    let _ = stream.read_to_string(&mut reply);
+    assert!(reply.starts_with("HTTP/1.1 400"), "{reply:?}");
+    assert!(reply.contains("request head too large"), "{reply:?}");
+    match client::request(&addr, "GET", "/healthz", "") {
+        Ok((200, _)) => {}
+        other => panic!("expected a live server, got {other:?}"),
+    }
+    server.shutdown().expect("shutdown");
+}
+
+#[test]
 fn an_idle_client_stalls_no_route_past_the_socket_timeout() {
     let (server, addr) = start(0, None);
     // Connect and send nothing: the accept loop must not wait on this

@@ -251,22 +251,33 @@ pub struct Characterization {
     pub stats: RunStats,
 }
 
+/// Run a program to completion on the ISS and return its execution
+/// statistics — the one ISS-side probe every diversity measurement
+/// (Table 1 rows, Fig. 7 calibration points, `D` for a prediction)
+/// goes through.
+///
+/// # Panics
+///
+/// Panics if the program fails to halt within a generous budget — that
+/// would be a workload bug.
+pub fn profile(program: &Program) -> RunStats {
+    let mut iss = Iss::new(IssConfig::default());
+    iss.load(program);
+    let outcome = iss.run(200_000_000);
+    assert!(
+        matches!(outcome, RunOutcome::Halted { .. }),
+        "workload did not halt: {outcome:?}"
+    );
+    iss.stats().clone()
+}
+
 /// Run a benchmark on the ISS and produce its Table 1 row.
 ///
 /// # Panics
 ///
-/// Panics if the benchmark fails to halt within a generous budget — that
-/// would be a workload bug.
+/// Panics if the benchmark fails to halt (see [`profile`]).
 pub fn characterize(benchmark: Benchmark, params: &Params) -> Characterization {
-    let program = benchmark.program(params);
-    let mut iss = Iss::new(IssConfig::default());
-    iss.load(&program);
-    let outcome = iss.run(100_000_000);
-    assert!(
-        matches!(outcome, RunOutcome::Halted { .. }),
-        "{benchmark} did not halt: {outcome:?}"
-    );
-    let stats = iss.stats().clone();
+    let stats = profile(&benchmark.program(params));
     Characterization {
         benchmark,
         total: stats.instructions,
@@ -298,6 +309,17 @@ mod tests {
                 .count(),
             2
         );
+    }
+
+    #[test]
+    fn profile_measures_diversity_and_its_unit_refinement() {
+        let p = assemble("_start: mov 1, %o0\n sll %o0, 2, %o0\n halt\n").unwrap();
+        let stats = profile(&p);
+        // or, sll, ticc
+        assert_eq!(stats.diversity(), 3);
+        assert_eq!(stats.unit_diversity(sparc_isa::Unit::Shift), 1);
+        assert_eq!(stats.unit_diversity(sparc_isa::Unit::MulDiv), 0);
+        assert_eq!(stats.unit_diversity(sparc_isa::Unit::Fetch), 3);
     }
 
     #[test]

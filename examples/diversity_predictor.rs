@@ -10,18 +10,27 @@
 //! cargo run --release --example diversity_predictor [sample]
 //! ```
 
-use correlation::{diversity_of, DiversityModel};
-use fault_inject::{Campaign, Target};
+use fault_inject::{Campaign, DomainFit, SweepPoint, Target};
 use rtl_sim::FaultKind;
-use workloads::{Benchmark, Params};
+use sparc_asm::Program;
+use workloads::{profile, Benchmark, Params};
 
-fn measure_pf(bench: Benchmark, sample: usize, threads: usize) -> f64 {
-    let program = bench.program(&Params::default());
+/// Stuck-at-1 Pf at IU nodes, measured by an RTL campaign.
+fn rtl_pf(program: Program, sample: usize, threads: usize) -> f64 {
     Campaign::new(program, Target::IntegerUnit)
         .with_kinds(&[FaultKind::StuckAt1])
         .with_sample(sample, 0xCA11B)
         .run(threads)
         .pf(FaultKind::StuckAt1)
+}
+
+/// One calibration point: the ISS-measured diversity and the RTL Pf.
+fn calibrate(label: String, program: Program, sample: usize, threads: usize) -> SweepPoint {
+    SweepPoint {
+        label,
+        diversity: profile(&program).diversity() as u64,
+        pf: rtl_pf(program, sample, threads),
+    }
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -41,48 +50,41 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let held_out = Benchmark::Canrdr;
 
     println!(
-        "calibrating on {} workloads ({sample} sites each)…",
+        "calibrating on {} workloads plus 6 excerpts ({sample} sites each)…",
         calibration_set.len()
     );
-    let mut points = Vec::new();
-    for bench in calibration_set {
-        let program = bench.program(&Params::default());
-        let d = diversity_of(&program) as f64;
-        let pf = measure_pf(bench, sample, threads);
-        println!("  {bench:10} D = {d:2}  measured Pf = {:5.2}%", pf * 100.0);
-        points.push((d, pf));
-    }
-    // Excerpts widen the diversity range at the low end.
-    for bench in Benchmark::EXCERPT_SUBSET_A
+    let mut points: Vec<SweepPoint> = calibration_set
         .iter()
-        .chain(&Benchmark::EXCERPT_SUBSET_B)
-    {
-        let program = bench.excerpt(0);
-        let d = diversity_of(&program) as f64;
-        let pf = Campaign::new(program, Target::IntegerUnit)
-            .with_kinds(&[FaultKind::StuckAt1])
-            .with_sample(sample, 0xCA11B)
-            .run(threads)
-            .pf(FaultKind::StuckAt1);
-        println!(
-            "  {bench:10} D = {d:2}  measured Pf = {:5.2}% (excerpt)",
-            pf * 100.0
-        );
-        points.push((d, pf));
-    }
-
-    let model = DiversityModel::fit(&points)?;
-    println!("\ncalibrated model: {model}");
+        .map(|b| {
+            calibrate(
+                b.to_string(),
+                b.program(&Params::default()),
+                sample,
+                threads,
+            )
+        })
+        .collect();
+    // Excerpts widen the diversity range at the low end.
+    points.extend(
+        Benchmark::EXCERPT_SUBSET_A
+            .iter()
+            .chain(&Benchmark::EXCERPT_SUBSET_B)
+            .map(|b| calibrate(format!("{b}-excerpt"), b.excerpt(0), sample, threads)),
+    );
+    let fit = DomainFit::fit(Target::IntegerUnit, FaultKind::StuckAt1, points)?;
+    print!("\ncalibrated model: {fit}");
 
     // Predict the held-out workload from the ISS alone…
     let program = held_out.program(&Params::default());
-    let d = diversity_of(&program) as f64;
-    let predicted = model.predict(d);
+    let d = profile(&program).diversity();
+    let predicted = fit.model.predict(d as f64);
     // …then verify against an actual RTL campaign.
-    let measured = measure_pf(held_out, sample, threads);
+    let measured = rtl_pf(program, sample, threads);
     println!(
-        "\nheld-out {held_out}: D = {d}, predicted Pf = {:.2}%, RTL-measured Pf = {:.2}% ({:+.2} pp)",
+        "\nheld-out {held_out}: D = {d}, predicted Pf = {:.2}% ± {:.2} pp, \
+         RTL-measured Pf = {:.2}% ({:+.2} pp)",
         predicted * 100.0,
+        fit.model.band() * 100.0,
         measured * 100.0,
         (predicted - measured) * 100.0
     );
