@@ -5,17 +5,14 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use leon3_model::{Leon3, Leon3Config};
-use sparc_iss::{Iss, IssConfig, RunOutcome};
+use sparc_iss::{Iss, IssConfig};
 use std::hint::black_box;
-use workloads::{Benchmark, Params};
+use workloads::{profile, Benchmark, Params};
 
 fn bench(c: &mut Criterion) {
     let program = Benchmark::Intbench.program(&Params::default());
     // Pre-measure instruction count for throughput scaling.
-    let mut probe = Iss::new(IssConfig::default());
-    probe.load(&program);
-    assert!(matches!(probe.run(10_000_000), RunOutcome::Halted { .. }));
-    let insns = probe.stats().instructions;
+    let insns = profile(&program).instructions;
 
     let mut group = c.benchmark_group("engine_throughput");
     group.sample_size(10);
